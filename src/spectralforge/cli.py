@@ -281,9 +281,7 @@ def _cmd_schrodinger(args) -> int:
     }
     passed = True
     if config["pipeline"]:
-        cert = schrodinger.pipeline_integrate(
-            grid, pot, int(config["modes"]), m, cap=cap
-        )
+        cert = schrodinger.certify_levels(levels, int(config["modes"]))
         payload["certificate"] = cert.to_dict()
         passed = cert.passed
     _emit_report(
@@ -457,3 +455,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -2,7 +2,10 @@
 
 The truncation basis is the graded-lex prefix of multi-indices, so for any
 basis size d the synthesized Hamiltonian and all number operators are
-simultaneously diagonal on exactly d states.
+simultaneously diagonal on exactly d states.  Inside the package those
+diagonal operators are held as 1-D arrays of their diagonals
+(``_number_diagonal``, ``_synthesized_diagonal``); ``number_operator`` and
+``synthesize`` return the dense matrices only at the public edge.
 """
 
 from __future__ import annotations
@@ -42,11 +45,16 @@ def is_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
     return float(np.abs(M - M.conj().T).max()) <= rtol * scale
 
 
-def number_operator(basis: TruncationBasis, mode: int) -> np.ndarray:
-    """Diagonal operator with entry I_mode at the basis position of I."""
+def _number_diagonal(basis: TruncationBasis, mode: int) -> np.ndarray:
+    """Diagonal of the number operator of ``mode``: I_mode at the position of I."""
     if not 1 <= mode <= basis.n:
         raise InputError(f"mode {mode} out of range 1..{basis.n}")
-    return np.diag(basis.indices[:, mode - 1].astype(float)).astype(complex)
+    return basis.indices[:, mode - 1].astype(float)
+
+
+def number_operator(basis: TruncationBasis, mode: int) -> np.ndarray:
+    """Diagonal operator with entry I_mode at the basis position of I."""
+    return np.diag(_number_diagonal(basis, mode).astype(complex))
 
 
 def ladder_xp(K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,19 +77,23 @@ def ladder_xp(K: int) -> tuple[np.ndarray, np.ndarray]:
     return X, P
 
 
+def _synthesized_diagonal(seq, basis: TruncationBasis) -> np.ndarray:
+    """Diagonal of ``synthesize(seq, basis)``: E_rank(I) at the position of I."""
+    arr = as_spectrum(seq)
+    if arr.size < basis.d:
+        raise InputError(
+            f"need at least {basis.d} energies, got {arr.size}"
+        )
+    return arr[pairing.encode_many(basis.indices)]
+
+
 def synthesize(seq, basis: TruncationBasis) -> np.ndarray:
     """Diagonal operator with entry E_rank(I) at the basis position of I.
 
     Its spectrum is exactly the multiset of the first d sequence entries,
     and it commutes exactly with every number operator on the same basis.
     """
-    arr = as_spectrum(seq)
-    if arr.size < basis.d:
-        raise InputError(
-            f"need at least {basis.d} energies, got {arr.size}"
-        )
-    ranks = pairing.encode_many(basis.indices)
-    return np.diag(arr[ranks]).astype(complex)
+    return np.diag(_synthesized_diagonal(seq, basis).astype(complex))
 
 
 def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,10 +16,10 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .errors import CapacityError, InputError
-from .fockspace import TruncationBasis, synthesize
+from .fockspace import TruncationBasis, _synthesized_diagonal
 from .intertwiner import (
     IntegrabilityCertificate,
-    build_unitary,
+    _intertwine,
     first_integrals,
     verify_integrability,
 )
@@ -205,18 +205,28 @@ def pipeline_integrate(
 ) -> IntegrabilityCertificate:
     """End-to-end demonstration on a physical operator.
 
-    Projects the FD Hamiltonian onto its lowest-m eigenspace, synthesizes an
-    isospectral diagonal operator on ``n_modes`` modes, intertwines, and
-    verifies the resulting first integrals.
+    Solves for the lowest m levels of the FD Hamiltonian, then certifies
+    their projection with ``certify_levels``.
     """
     cap = dimension_cap() if cap is None else int(cap)
     if m > cap:
         raise CapacityError(f"projected dimension {m} exceeds cap {cap}")
-    H_full = assemble_sparse(grid, pot)
-    levels = low_spectrum(H_full, m)
-    H_proj = np.diag(levels).astype(complex)
+    return certify_levels(low_spectrum(assemble_sparse(grid, pot), m), n_modes)
+
+
+def certify_levels(levels, n_modes: int) -> IntegrabilityCertificate:
+    """Certificate for the projection of H onto the span of its ``levels``.
+
+    In the eigenbasis of H that projection is H_proj = diag(levels), whose
+    eigenvectors are the identity, so no eigendecomposition is needed: an
+    isospectral diagonal operator on ``n_modes`` modes is intertwined from
+    those known eigenpairs, and the first integrals are verified against the
+    dense H_proj.
+    """
+    levels = np.sort(np.asarray(levels, dtype=float))
+    m = levels.size
     basis = TruncationBasis.build(n_modes, m)
-    A = synthesize(levels, basis)
-    U = build_unitary(H_proj, A)
+    a = _synthesized_diagonal(levels, basis)
+    U = _intertwine(levels, np.eye(m, dtype=complex), a, None)
     T = first_integrals(U, basis)
-    return verify_integrability(H_proj, U, T, basis, A=A)
+    return verify_integrability(np.diag(levels.astype(complex)), U, T, basis, A=a)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectralforge import cli, zeta
+from spectralforge import cli, schrodinger, zeta
 
 
 def run_report(argv, capsys):
@@ -210,6 +214,34 @@ def test_schrodinger_pipeline_certificate(capsys):
     )
     assert code == 0
     assert report["certificate"]["passed"] is True
+
+
+def test_schrodinger_pipeline_solves_spectrum_once(capsys, monkeypatch):
+    calls = []
+    solve = schrodinger.low_spectrum
+
+    def counted(H, m):
+        calls.append(m)
+        return solve(H, m)
+
+    monkeypatch.setattr(schrodinger, "low_spectrum", counted)
+    argv = ["schrodinger", "--points", "200", "--levels", "10", "--pipeline",
+            "--modes", "2", "--no-timestamp"]
+    code, report = run_report(argv, capsys)
+    assert code == 0
+    assert report["certificate"]["passed"] is True
+    assert calls == [10]
+
+
+@pytest.mark.parametrize("module", ["spectralforge", "spectralforge.cli"])
+def test_python_m_help(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert "spectral-forge" in proc.stdout
 
 
 def test_zeta_comparative_report(zeros_file, capsys):

@@ -3,7 +3,12 @@ import pytest
 from scipy.stats import unitary_group
 
 from spectralforge.errors import InputError, NotIsospectralError
-from spectralforge.fockspace import TruncationBasis, number_operator, synthesize
+from spectralforge.fockspace import (
+    TruncationBasis,
+    eigendecompose,
+    number_operator,
+    synthesize,
+)
 from spectralforge.intertwiner import (
     build_unitary,
     certify,
@@ -121,3 +126,72 @@ def test_certificate_json_fields():
     ):
         assert key in data
     assert isinstance(cert.to_json(), str)
+
+
+def test_first_integrals_match_dense_conjugation():
+    basis = TruncationBasis.build(3, 64)
+    U = unitary_group.rvs(64, random_state=11)
+    for i, Ti in enumerate(first_integrals(U, basis), start=1):
+        dense = U.conj().T @ number_operator(basis, i) @ U
+        assert np.abs(Ti - dense).max() < 1e-12
+
+
+def test_certificate_fails_on_anti_hermitian_first_integral():
+    H, A, basis = random_conjugated(np.arange(1.0, 21.0), 2, 8)
+    U = build_unitary(H, A)
+    T = first_integrals(U, basis)
+    clean = verify_integrability(H, U, T, basis, A=A)
+    assert clean.passed
+    assert clean.hermiticity_defect < 1e-12
+    S = np.random.default_rng(0).normal(size=(20, 20))
+    T[0] = T[0] + 1e-6j * (S + S.T)  # small anti-Hermitian perturbation
+    cert = verify_integrability(H, U, T, basis, A=A)
+    assert cert.hermiticity_defect > 1e-5
+    assert not cert.passed
+
+
+def test_certificate_fails_on_corrupted_row_of_unitary():
+    H, A, basis = random_conjugated(np.arange(1.0, 21.0), 2, 9)
+    U = build_unitary(H, A)
+    U[3] += 1e-4 * np.random.default_rng(1).normal(size=20)
+    cert = verify_integrability(H, U, first_integrals(U, basis), basis, A=A)
+    assert cert.unitarity_defect > 1e-5
+    assert cert.intertwining_residual > 1e-4
+    # the first integrals stop commuting with H, and the halved commutators see it
+    tol = cert.commutator_tol * (np.linalg.norm(H) + sum(np.linalg.norm(T) for T in cert.T))
+    assert cert.max_hamiltonian_commutator > tol
+    assert not cert.passed
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [[3.0, 1.0, 2.0, 9.0, 4.0, 0.5], [5.0, 7.0, 7.0, 7.0, 9.0, 5.0]],
+    ids=["unsorted", "degenerate"],
+)
+def test_certify_unsorted_and_degenerate_seq(seq):
+    H, _, _ = random_conjugated(seq, 2, 12)
+    cert = certify(H, seq, 2)
+    assert cert.passed
+    _, VH = eigendecompose(H)
+    # U = P V_H† for a permutation P, so U V_H = P
+    overlap = np.abs(cert.U @ VH)
+    P = np.round(overlap)
+    assert np.allclose(overlap, P, atol=1e-10)
+    assert np.array_equal(P.sum(axis=0), np.ones(6))
+    assert np.array_equal(P.sum(axis=1), np.ones(6))
+
+
+def test_build_unitary_rejects_non_diagonal_A():
+    H = np.diag([1.0, 2.0]).astype(complex)
+    with pytest.raises(InputError):
+        build_unitary(H, np.array([[1.0, 0.1], [0.1, 2.0]]))
+
+
+def test_diagonal_A_as_matrix_or_1d():
+    H, A, basis = random_conjugated([4.0, 1.0, 3.0, 2.0], 2, 13)
+    a = np.diag(A)
+    U = build_unitary(H, A)
+    assert np.array_equal(build_unitary(H, a), U)
+    T = first_integrals(U, basis)
+    assert (verify_integrability(H, U, T, basis, A=a).to_dict()
+            == verify_integrability(H, U, T, basis, A=A).to_dict())

@@ -7,6 +7,7 @@ from spectralforge.schrodinger import (
     PotentialSpec,
     assemble_sparse,
     build_fd_hamiltonian,
+    certify_levels,
     load_potential_csv,
     low_spectrum,
     pipeline_integrate,
@@ -157,3 +158,11 @@ def test_potential_csv_node_mismatch(tmp_path):
     path.write_text("\n".join(f"{xi},{xi**2}" for xi in x) + "\n")
     with pytest.raises(InputError, match="do not match"):
         load_potential_csv(path, grid)
+
+
+def test_certify_levels_matches_pipeline():
+    grid, pot = GridSpec(1, 10.0, 200), PotentialSpec.harmonic()
+    levels = low_spectrum(assemble_sparse(grid, pot), 15)
+    cert = certify_levels(levels, 2)
+    assert cert.passed
+    assert cert.to_dict() == pipeline_integrate(grid, pot, 2, 15).to_dict()
