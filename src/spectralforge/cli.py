@@ -277,7 +277,7 @@ def _cmd_schrodinger(args) -> int:
         spectra.save_spectrum_text(levels, config["out"])
     payload = {
         "grid": {"dimension": grid.dimension, "half_width": grid.L, "points": grid.M},
-        "levels": [float(f"{v:.17g}") for v in levels],
+        "levels": levels.tolist(),
     }
     passed = True
     if config["pipeline"]:

@@ -115,8 +115,8 @@ def matrix_to_json(M: np.ndarray) -> str:
     return json.dumps(
         {
             "dim": M.shape[0],
-            "re": [float(f"{v:.17g}") for v in M.real.ravel()],
-            "im": [float(f"{v:.17g}") for v in M.imag.ravel()],
+            "re": M.real.ravel().tolist(),
+            "im": M.imag.ravel().tolist(),
         }
     )
 

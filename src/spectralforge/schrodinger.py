@@ -184,9 +184,15 @@ def low_spectrum(H, m: int) -> np.ndarray:
         sigma = float((H.diagonal() - row_radius).min()) - 1.0
         # fixed start vector keeps the Lanczos iteration bit-reproducible
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        # H is symmetric, so a minimum-degree ordering on its pattern keeps
+        # the LU fill of H - sigma I low
+        lu = spla.splu(
+            (H - sigma * sp.identity(dim, format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+        )
         w = spla.eigsh(
-            H.tocsc(), k=m, sigma=sigma, which="LM", v0=v0,
-            return_eigenvectors=False,
+            H, k=m, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
+            OPinv=spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=float),
         )
         return np.sort(w)
     H = np.asarray(H)

@@ -229,7 +229,7 @@ def load_spectrum_text(path) -> np.ndarray:
 
 
 def spectrum_to_json(seq) -> str:
-    return json.dumps([float(f"{v:.17g}") for v in as_spectrum(seq)])
+    return json.dumps(as_spectrum(seq).tolist())
 
 
 def spectrum_from_json(text: str) -> np.ndarray:

@@ -6,6 +6,10 @@ the alternating Dirichlet eta series accelerated with Borwein's
 Chebyshev-coefficient scheme; theta comes from the log-Gamma function.
 The evaluator is desk-scale: accuracy is guaranteed only up to t ~ 250,
 which covers the first 100 zeros.
+
+``compute_zeros`` scans Z on a grid for sign changes, then bisects all the
+brackets together, so each halving is one vectorized ``hardy_z`` call over
+every bracket still open.
 """
 
 from __future__ import annotations
@@ -115,17 +119,25 @@ def parse_zeros(path) -> ZetaZeroSet:
     return ZetaZeroSet(values=np.array(values), source="file")
 
 
-def _bisect_zero(lo: float, hi: float, z_lo: float) -> float:
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        z_mid = float(hardy_z(mid)[0])
-        if z_mid == 0.0:
-            return mid
-        if (z_mid < 0) == (z_lo < 0):
-            lo, z_lo = mid, z_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_brackets(
+    lo: np.ndarray, hi: np.ndarray, lo_negative: np.ndarray
+) -> np.ndarray:
+    """Bisect every sign-change bracket [lo_k, hi_k] together, in place.
+
+    One ``hardy_z`` call per halving evaluates the midpoints of all brackets
+    still wider than ``BISECTION_TOL``; a midpoint where Z is exactly zero
+    collapses its bracket.  ``lo_negative`` is the sign of Z at each lower
+    end, which a halving never changes.
+    """
+    while True:
+        open_ = np.nonzero(hi - lo > BISECTION_TOL)[0]
+        if open_.size == 0:
+            return 0.5 * (lo + hi)
+        mid = 0.5 * (lo[open_] + hi[open_])
+        z_mid = hardy_z(mid)
+        same = (z_mid < 0) == lo_negative[open_]
+        lo[open_] = np.where(same | (z_mid == 0.0), mid, lo[open_])
+        hi[open_] = np.where(same & (z_mid != 0.0), hi[open_], mid)
 
 
 def compute_zeros(count: int) -> ZetaZeroSet:
@@ -138,16 +150,18 @@ def compute_zeros(count: int) -> ZetaZeroSet:
             f"desk-scale evaluator computes at most {MAX_COMPUTED_ZEROS} zeros; "
             "ingest a published table for more"
         )
-    zeros: list[float] = []
-    lo = _SCAN_START
+    lo, hi, lo_negative = [], [], []
+    start = _SCAN_START
     batch = 512
-    while len(zeros) < count:
-        grid = lo + SCAN_STEP * np.arange(batch + 1)
+    while len(lo) < count:
+        grid = start + SCAN_STEP * np.arange(batch + 1)
         z = hardy_z(grid)
         flips = np.nonzero(np.signbit(z[:-1]) != np.signbit(z[1:]))[0]
-        for i in flips:
-            zeros.append(_bisect_zero(float(grid[i]), float(grid[i + 1]), float(z[i])))
-            if len(zeros) == count:
-                break
-        lo = float(grid[-1])
-    return ZetaZeroSet(values=np.array(zeros[:count]), source="computed")
+        lo.extend(grid[flips])
+        hi.extend(grid[flips + 1])
+        lo_negative.extend(z[flips] < 0)
+        start = float(grid[-1])
+    zeros = _bisect_brackets(
+        np.array(lo[:count]), np.array(hi[:count]), np.array(lo_negative[:count])
+    )
+    return ZetaZeroSet(values=zeros, source="computed")

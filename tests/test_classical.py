@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from spectralforge import pairing
 from spectralforge.classical import ActionTable, classical_value, integrate_flow
@@ -46,6 +47,58 @@ def test_interpolant_exact_at_nodes():
             assert got == pytest.approx(table.values[j1, j2], abs=1e-12)
 
 
+def sample_actions(rng, n, K, count=100):
+    """Seeded points in [0, K-1]^n, the first few on nodes and domain corners."""
+    nodes = np.array([[0.0] * n, [K - 1.0] * n, [1.0] * n, [2.0, K - 1.0][:n]])
+    return np.vstack([nodes, rng.uniform(0.0, K - 1.0, size=(count - len(nodes), n))])
+
+
+def assert_close(got, ref):
+    scale = np.abs(ref).max()
+    assert np.abs(np.asarray(got) - ref).max() <= 1e-12 * scale
+
+
+def test_one_mode_table_is_the_cubic_spline():
+    rng = np.random.default_rng(11)
+    K = 9
+    energies = np.sort(rng.uniform(0.0, 20.0, size=K))
+    table = ActionTable.build(energies, 1, K)
+    ref = CubicSpline(np.arange(K, dtype=float), energies)
+    J = sample_actions(rng, 1, K)[:, 0]
+    assert_close([table.value_at_actions([j]) for j in J], ref(J))
+    assert_close([table.gradient_at_actions([j])[0] for j in J], ref(J, 1))
+
+
+def test_two_mode_table_is_the_bicubic_spline():
+    rng = np.random.default_rng(12)
+    K = 7
+    d = pairing.encode((K - 1, K - 1)) + 1
+    energies = np.sort(rng.uniform(0.0, 30.0, size=d))
+    table = ActionTable.build(energies, 2, K)
+    nodes = np.arange(K, dtype=float)
+    ref = RectBivariateSpline(nodes, nodes, table.values, kx=3, ky=3, s=0)
+    J = sample_actions(rng, 2, K)
+    assert_close([table.value_at_actions(j) for j in J], ref(J[:, 0], J[:, 1], grid=False))
+    grads = np.array([table.gradient_at_actions(j) for j in J])
+    assert_close(grads[:, 0], ref(J[:, 0], J[:, 1], dx=1, grid=False))
+    assert_close(grads[:, 1], ref(J[:, 0], J[:, 1], dy=1, grid=False))
+
+
+@pytest.mark.parametrize("n, K", [(1, 9), (2, 7)])
+def test_flow_evaluator_equals_gradient_at_actions(n, K):
+    # the flow's float evaluator runs the same Horner arithmetic, so the
+    # frequencies must agree exactly, clipped actions included
+    rng = np.random.default_rng(13)
+    d = pairing.encode((K - 1,) * n) + 1
+    table = ActionTable.build(np.sort(rng.uniform(0.0, 30.0, size=d)), n, K)
+    frequencies = table._float_frequencies()
+    radius = np.sqrt(K)  # actions up to K - 1/2, past the last node
+    for x, p in rng.uniform(0.0, radius, size=(200, 2, n)):
+        J = np.clip(0.5 * (x**2 + p**2 - 1.0), 0.0, K - 1.0)
+        got = frequencies(list(zip(x.tolist(), p.tolist())))
+        assert np.array_equal(got, table.gradient_at_actions(J))
+
+
 def test_out_of_domain_rejected():
     table = ActionTable.build(np.arange(8.0), 1, 8)
     with pytest.raises(InputError):
@@ -82,6 +135,32 @@ def test_step_halving_reduces_drift():
     d1 = integrate_flow(table, x0, p0, T=100.0, dt=0.01).max_action_drift
     d2 = integrate_flow(table, x0, p0, T=100.0, dt=0.005).max_action_drift
     assert d1 / d2 >= 12.0
+
+
+def exact_rotation_error(dt):
+    """Largest distance of the RK4 orbit from the exact flow of the quadratic table.
+
+    The spline reproduces E(J) = 5 + J1 + 1.3 J2 + 0.08 J1^2 + 0.05 J2^2
+    + 0.04 J1 J2 exactly, so each (x_i, p_i) plane rotates clockwise at the
+    constant frequency w_i = dE/dJ_i(J0).
+    """
+    J0 = np.array([1.2, 2.1])
+    w = np.array([1.0 + 0.16 * J0[0] + 0.04 * J0[1], 1.3 + 0.1 * J0[1] + 0.04 * J0[0]])
+    x0 = np.array([np.sqrt(2 * J0[0] + 1), 0.0])
+    p0 = np.array([0.0, np.sqrt(2 * J0[1] + 1)])
+    report = integrate_flow(quadratic_two_mode_table(), x0, p0, T=100.0, dt=dt)
+    assert not report.truncated
+    phase = np.outer(report.times, w)
+    xs = x0 * np.cos(phase) + p0 * np.sin(phase)
+    ps = p0 * np.cos(phase) - x0 * np.sin(phase)
+    return max(np.abs(report.xs - xs).max(), np.abs(report.ps - ps).max())
+
+
+def test_two_mode_flow_matches_exact_rotation():
+    coarse = exact_rotation_error(0.01)
+    fine = exact_rotation_error(0.005)
+    assert coarse < 1e-6
+    assert coarse / fine >= 12.0
 
 
 def test_default_step_from_table_frequency():

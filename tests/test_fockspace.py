@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,24 @@ def test_matrix_json_roundtrip():
     M = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     back = matrix_from_json(matrix_to_json(M))
     assert np.array_equal(back, M)
+
+
+def test_matrix_json_bytes_match_17g_round_trip():
+    # reference: the former per-element ".17g" round trip, which tolist() equals
+    # because ".17g" reproduces every double
+    values = np.array([-0.0, 5e-324, 1.0 / 3.0, 1e300, -2.5, 0.1, 1e-310, -1 / 7, 2.0])
+    M = np.empty((3, 3), dtype=complex)
+    M.real = values.reshape(3, 3)
+    M.imag = values[::-1].reshape(3, 3)
+    expected = json.dumps(
+        {
+            "dim": M.shape[0],
+            "re": [float(f"{v:.17g}") for v in M.real.ravel()],
+            "im": [float(f"{v:.17g}") for v in M.imag.ravel()],
+        }
+    )
+    assert matrix_to_json(M) == expected
+    assert "-0.0" in expected and "5e-324" in expected and "1e+300" in expected
 
 
 def test_matrix_json_validation():

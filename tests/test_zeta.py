@@ -85,3 +85,21 @@ def test_parse_matches_computed(tmp_path):
     path.write_text("\n".join(f"{v:.8f}" for v in computed.values) + "\n")
     parsed = zeta.parse_zeros(path)
     assert np.allclose(parsed.values, computed.values, atol=1e-7)
+
+
+def test_bisection_collapses_bracket_on_exact_zero(monkeypatch):
+    # f vanishes exactly at the first midpoint of [0, 1] and changes sign
+    # inside [2, 3]
+    monkeypatch.setattr(zeta, "hardy_z", lambda t: (t - 0.5) * (t - 2.3))
+    roots = zeta._bisect_brackets(
+        np.array([0.0, 2.0]), np.array([1.0, 3.0]), np.array([False, True])
+    )
+    assert roots[0] == 0.5
+    assert roots[1] == pytest.approx(2.3, abs=zeta.BISECTION_TOL)
+
+
+def test_computed_zeros_match_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    zs = zeta.compute_zeros(100)
+    for k in (1, 2, 37, 99, 100):
+        assert abs(zs.values[k - 1] - float(mpmath.zetazero(k).imag)) < 1e-7
