@@ -335,7 +335,7 @@ def _cmd_classical(args) -> int:
         with open(config["trajectory"], "w") as fh:
             fh.write(flow.trajectory_csv())
     payload = {
-        "initial_energy": classical.classical_value(table, x0, p0),
+        "initial_energy": float(flow.energies[0]),
         "max_action_drift": flow.max_action_drift,
         "max_energy_drift": flow.max_energy_drift,
         "steps": int(flow.times.size - 1),

@@ -16,13 +16,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from .errors import CapacityError, InputError
-from .fockspace import TruncationBasis, _synthesized_diagonal
-from .intertwiner import (
-    IntegrabilityCertificate,
-    _intertwine,
-    first_integrals,
-    verify_integrability,
-)
+from .intertwiner import IntegrabilityCertificate, certify
 
 DEFAULT_DIM_CAP = 4096
 CAP_ENV_VAR = "SPECTRAL_FORGE_CAP"
@@ -223,16 +217,9 @@ def pipeline_integrate(
 def certify_levels(levels, n_modes: int) -> IntegrabilityCertificate:
     """Certificate for the projection of H onto the span of its ``levels``.
 
-    In the eigenbasis of H that projection is H_proj = diag(levels), whose
-    eigenvectors are the identity, so no eigendecomposition is needed: an
-    isospectral diagonal operator on ``n_modes`` modes is intertwined from
-    those known eigenpairs, and the first integrals are verified against the
-    dense H_proj.
+    In the eigenbasis of H that projection is H_proj = diag(levels), which
+    ``certify`` intertwines with an isospectral diagonal operator on
+    ``n_modes`` modes without an eigendecomposition.
     """
     levels = np.sort(np.asarray(levels, dtype=float))
-    m = levels.size
-    basis = TruncationBasis.build(n_modes, m)
-    a = _synthesized_diagonal(levels, basis)
-    U = _intertwine(levels, np.eye(m, dtype=complex), a, None)
-    T = first_integrals(U, basis)
-    return verify_integrability(np.diag(levels.astype(complex)), U, T, basis, A=a)
+    return certify(np.diag(levels.astype(complex)), None, n_modes)

@@ -303,3 +303,19 @@ def test_classical_flow_and_trajectory(tmp_path, capsys):
     lines = traj.read_text().strip().splitlines()
     assert lines[0] == "t,x1,p1,J1,energy"
     assert len(lines) == report["steps"] + 2
+
+
+def test_classical_start_on_domain_edge_exit_0(tmp_path, capsys):
+    # action 7 + 1e-9: past the table's last node, inside the flow's domain
+    spectrum = tmp_path / "levels.txt"
+    spectrum.write_text("\n".join(str(float(i)) for i in range(8)) + "\n")
+    x0 = np.sqrt(2 * (7 + 1e-9) + 1)
+    code, report = run_report(
+        ["classical", "--spectrum", str(spectrum), "--modes", "1", "--nodes", "8",
+         "--x0", repr(float(x0)), "--p0", "0", "--time", "1", "--dt", "0.01",
+         "--no-timestamp"],
+        capsys,
+    )
+    assert code == 0
+    assert report["truncated"] is False
+    assert report["initial_energy"] == pytest.approx(7.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
+from spectralforge import intertwiner
 from spectralforge.errors import InputError, NotIsospectralError
 from spectralforge.fockspace import (
     TruncationBasis,
@@ -195,3 +196,136 @@ def test_diagonal_A_as_matrix_or_1d():
     T = first_integrals(U, basis)
     assert (verify_integrability(H, U, T, basis, A=a).to_dict()
             == verify_integrability(H, U, T, basis, A=A).to_dict())
+
+
+def test_passed_gates_intertwining_residual():
+    H = np.diag(np.arange(1.0, 9.0)).astype(complex)
+    cert = certify(H, None, 2)
+    assert cert.passed
+    basis = TruncationBasis.build(2, 8)
+    U = cert.U.copy()
+    U[[0, 7]] = U[[7, 0]]  # still a permutation: unitary, and T still commutes
+    bad = verify_integrability(H, U, first_integrals(U, basis), basis,
+                               A=synthesize(np.arange(1.0, 9.0), basis))
+    assert bad.intertwining_residual == pytest.approx(7 * np.sqrt(2))
+    assert bad.unitarity_defect == 0.0
+    assert not bad.passed
+
+
+# structured path: a diagonal H, a permutation U and diagonal T_i are
+# verified through sparse products; the references below are dense numpy
+
+STRUCTURED_D = 200
+
+
+def dense_certificate(H, U, T, A, basis, commutator_tol=1e-8):
+    """Every ``to_dict`` field, from explicit dense formulas.
+
+    The certificate measures [X, Y] as XY - (XY)†, which is the commutator
+    for Hermitian X and Y; a non-Hermitian part of H or T_i shows in it.
+    """
+    d = H.shape[0]
+    fro = np.linalg.norm
+
+    def comm(X, Y):
+        return fro(X @ Y - (X @ Y).conj().T)
+
+    pairs = [comm(T[i], T[j]) for i in range(len(T)) for j in range(i + 1, len(T))]
+    ref = {
+        "dim": d,
+        "n_modes": basis.n,
+        "unitarity_defect": np.abs(U.conj().T @ U - np.eye(d)).max(),
+        "intertwining_residual": fro(U @ H - A @ U),
+        "hermiticity_defect": max(fro(X - X.conj().T) for X in [H, *T]),
+        "max_pairwise_commutator": max(pairs, default=0.0),
+        "max_hamiltonian_commutator": max(comm(H, Ti) for Ti in T),
+        "independence": True,
+        "commutator_tol": commutator_tol,
+        "unitarity_tol": 1e-9 * d,
+    }
+    scale = fro(H) + sum(fro(Ti) for Ti in T)
+    ref["passed"] = bool(
+        max(ref["max_pairwise_commutator"], ref["max_hamiltonian_commutator"],
+            ref["hermiticity_defect"], ref["intertwining_residual"])
+        <= commutator_tol * max(1.0, scale)
+        and ref["unitarity_defect"] <= ref["unitarity_tol"]
+    )
+    return ref
+
+
+def assert_matches_dense(cert, ref):
+    got = cert.to_dict()
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        if isinstance(value, bool) or key in ("dim", "n_modes"):
+            assert got[key] == value, key
+        else:
+            assert abs(got[key] - value) <= 1e-12, key
+
+
+@pytest.fixture
+def structured():
+    """Unsorted diagonal H with ties and a 1e-13 imaginary part, certified."""
+    rng = np.random.default_rng(21)
+    h = np.round(rng.uniform(0.0, 20.0, STRUCTURED_D), 1)
+    assert np.unique(h).size < STRUCTURED_D  # ties
+    H = np.diag(h + 1e-13j * rng.uniform(-1.0, 1.0, STRUCTURED_D))
+    basis = TruncationBasis.build(3, STRUCTURED_D)
+    return H, synthesize(np.sort(h), basis), basis
+
+
+def test_diagonal_certificate_matches_dense_reference(structured, monkeypatch):
+    H, A, basis = structured
+
+    def no_eigh(M):
+        raise AssertionError("a diagonal H must not be decomposed")
+
+    monkeypatch.setattr(intertwiner, "eigendecompose", no_eigh)
+    cert = certify(H, None, 3)
+    assert cert.passed
+    assert_matches_dense(cert, dense_certificate(H, cert.U, cert.T, A, basis))
+    # U is a permutation and T_i = U† N_i U, computed densely here
+    assert np.array_equal(np.abs(cert.U).sum(axis=0), np.ones(STRUCTURED_D))
+    assert np.array_equal(np.abs(cert.U).sum(axis=1), np.ones(STRUCTURED_D))
+    for i, Ti in enumerate(cert.T, start=1):
+        dense = cert.U.conj().T @ number_operator(basis, i) @ cert.U
+        assert np.abs(Ti - dense).max() <= 1e-12
+
+
+def test_scaled_entry_of_monomial_unitary_fails(structured):
+    H, A, basis = structured
+    U = certify(H, None, 3).U.copy()
+    j = np.flatnonzero(U[5])[0]
+    U[5, j] *= 1 + 1e-3  # still monomial, no longer unitary
+    cert = verify_integrability(H, U, first_integrals(U, basis), basis, A=A)
+    assert cert.unitarity_defect == pytest.approx(2.001e-3)
+    assert not cert.passed
+    assert_matches_dense(cert, dense_certificate(H, U, cert.T, A, basis))
+
+
+def test_off_diagonal_pair_in_first_integral_fails(structured):
+    H, A, basis = structured
+    good = certify(H, None, 3)
+    T = [Ti.copy() for Ti in good.T]
+    h = np.diag(H).real
+    occupied = np.flatnonzero(np.diag(T[0]))
+    i = occupied[0]
+    j = next(k for k in occupied if h[k] != h[i])
+    # rows i and j now hold two nonzeros each: T_1 is verified densely
+    T[0][i, j] = T[0][j, i] = 1e-3
+    assert intertwiner._sparse_if_monomial(T[0]) is T[0]
+    cert = verify_integrability(H, good.U, T, basis, A=A)
+    tol = cert.commutator_tol * (np.linalg.norm(H) + sum(np.linalg.norm(Ti) for Ti in T))
+    assert cert.max_hamiltonian_commutator > tol
+    assert not cert.passed
+    assert_matches_dense(cert, dense_certificate(H, good.U, T, A, basis))
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1.0 + 1e-6j], ids=["nan", "non_hermitian"])
+def test_diagonal_H_rejected_like_eigendecompose(entry):
+    H = np.diag(np.arange(1.0, 9.0)).astype(complex)
+    H[3, 3] = entry
+    with pytest.raises(InputError):
+        eigendecompose(H)
+    with pytest.raises(InputError):
+        certify(H, None, 2)
