@@ -3,6 +3,10 @@
 Exit codes: 0 success/pass, 1 verification fail, 2 input error, 3 capacity
 error.  Reports are JSON with a schema_version field and embed the fully
 resolved configuration; --no-timestamp makes them byte-reproducible.
+
+Each option is one row of ``SUBCOMMANDS``.  The row builds the ``--flag``,
+supplies the default, and checks a config-file value with the flag's own
+converter and choices, so the report's ``config`` holds the values that ran.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +33,79 @@ EXIT_INPUT_ERROR = 2
 EXIT_CAPACITY_ERROR = 3
 
 
+# ---------------------------------------------------------------------------
+# the option table: converters take a flag's text or a config-file JSON value
+
+def integer(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
+def number(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError
+    return float(value)
+
+
+def text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError
+    return value
+
+
+def boolean(value) -> bool:
+    """An on/off flag; a config file gives it as JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError
+    return value
+
+
+@dataclass(frozen=True)
+class Option:
+    """Config key ``name``, given on the command line as ``--name`` (``_`` as ``-``)."""
+
+    name: str
+    convert: Callable = text
+    default: object = None
+    help: str = ""
+    choices: tuple = ()
+
+    def from_config(self, value):
+        """A config-file value, converted and checked as the flag's text would be."""
+        if value is None and self.default is None:
+            return value
+        try:
+            converted = self.convert(value)
+            if not self.choices or converted in self.choices:
+                return converted
+        except (TypeError, ValueError, OverflowError):
+            pass
+        expected = self.convert.__name__
+        if self.choices:
+            expected = "one of " + ", ".join(map(str, self.choices))
+        raise InputError(f"config key {self.name!r}: expected {expected}, got {json.dumps(value)}")
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    run: Callable[[dict], tuple[dict, bool]]  # typed config -> (payload, passed)
+    help: str
+    options: tuple[Option, ...]
+
+
+SPECTRUM_INPUT = (
+    Option("spectrum", help="spectrum file, one float per line"),
+    Option("set", help="closed-set spec: finite:V1,V2 | interval:LO:HI | cantor"),
+    Option("count", integer, help="dense-subset length for --set"),
+)
+MODES = Option("modes", integer, 1, "number of modes n")
+DEGREE = Option(
+    "degree", integer, levelstats.DEFAULT_UNFOLD_DEGREE, "unfolding polynomial degree"
+)
+REPORT = Option("report", help="write the JSON report here instead of stdout")
+
+
 def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
@@ -40,35 +119,24 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict) -> dict:
+def _resolve_config(args: argparse.Namespace, options: tuple[Option, ...]) -> dict:
     """Precedence: command-line flags > config file > defaults.
 
     Unknown config-file keys are rejected rather than silently ignored.
     """
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
+    resolved = {opt.name: opt.default for opt in options}
+    if args.config:
+        rows = {opt.name: opt for opt in options}
         file_cfg = _load_config_file(args.config)
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(rows))
         if unknown:
             raise InputError(f"unknown config keys: {', '.join(unknown)}")
-        resolved.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
+        resolved.update((key, rows[key].from_config(v)) for key, v in file_cfg.items())
+    for opt in options:
+        value = getattr(args, opt.name)
         if value is not None:
-            resolved[key] = value
+            resolved[opt.name] = value
     return resolved
-
-
-def _report_envelope(subcommand: str, config: dict, payload: dict, no_timestamp: bool) -> dict:
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": subcommand,
-        "config": config,
-        **payload,
-    }
-    if not no_timestamp:
-        report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    return report
 
 
 def _emit_report(report: dict, path) -> None:
@@ -105,34 +173,22 @@ def _parse_set_spec(text: str) -> spectra.ClosedSetSpec:
 
 
 def _load_sequence(config: dict) -> np.ndarray:
-    if config.get("spectrum"):
+    if config["spectrum"]:
         return spectra.load_spectrum_text(config["spectrum"])
-    if config.get("set"):
-        count = config.get("count")
-        if not count:
+    if config["set"]:
+        if not config["count"]:
             raise InputError("--count is required with --set")
-        return spectra.dense_subset(_parse_set_spec(config["set"]), int(count))
+        return spectra.dense_subset(_parse_set_spec(config["set"]), config["count"])
     raise InputError("provide --spectrum FILE or --set SPEC")
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: typed config -> (report payload, passed)
 
-def _cmd_synthesize(args) -> int:
-    defaults = {
-        "spectrum": None,
-        "set": None,
-        "count": None,
-        "modes": 1,
-        "dim": None,
-        "out": None,
-        "report": None,
-    }
-    config = _resolve_config(args, defaults)
+def _cmd_synthesize(config: dict) -> tuple[dict, bool]:
     seq = _load_sequence(config)
-    d = int(config["dim"]) if config["dim"] else int(seq.size)
-    basis = TruncationBasis.build(int(config["modes"]), d)
-    A = synthesize(seq, basis)
+    d = config["dim"] or seq.size
+    A = synthesize(seq, TruncationBasis.build(config["modes"], d))
     spectrum_of_A = np.sort(np.diag(A).real)
     check = spectra.completely_isospectral(spectrum_of_A, np.sort(seq[:d]), tol=0.0)
     if config["out"]:
@@ -140,19 +196,13 @@ def _cmd_synthesize(args) -> int:
             fh.write(matrix_to_json(A) + "\n")
     payload = {
         "dim": d,
-        "modes": int(config["modes"]),
+        "modes": config["modes"],
         "exact_isospectrality": check.to_dict(),
     }
-    _emit_report(
-        _report_envelope("synthesize", config, payload, args.no_timestamp),
-        config["report"],
-    )
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_verify(args) -> int:
-    defaults = {"matrix": None, "modes": 1, "tol": None, "report": None}
-    config = _resolve_config(args, defaults)
+def _cmd_verify(config: dict) -> tuple[dict, bool]:
     if not config["matrix"]:
         raise InputError("--matrix is required")
     try:
@@ -160,65 +210,34 @@ def _cmd_verify(args) -> int:
             H = matrix_from_json(fh.read())
     except FileNotFoundError:
         raise InputError(f"matrix file not found: {config['matrix']}")
-    tol = float(config["tol"]) if config["tol"] is not None else None
-    cert = certify(H, None, int(config["modes"]), tol=tol)
-    payload = {"certificate": cert.to_dict()}
-    _emit_report(
-        _report_envelope("verify", config, payload, args.no_timestamp),
-        config["report"],
-    )
-    return EXIT_OK if cert.passed else EXIT_VERIFY_FAIL
+    cert = certify(H, None, config["modes"], tol=config["tol"])
+    return {"certificate": cert.to_dict()}, cert.passed
 
 
-def _cmd_stats(args) -> int:
-    defaults = {
-        "spectrum": None,
-        "set": None,
-        "count": None,
-        "model": "poisson",
-        "degree": levelstats.DEFAULT_UNFOLD_DEGREE,
-        "report": None,
-        "histogram": None,
-    }
-    config = _resolve_config(args, defaults)
-    seq = _load_sequence(config)
-    sample = levelstats.unfold(seq, degree=int(config["degree"]))
+def _cmd_stats(config: dict) -> tuple[dict, bool]:
+    sample = levelstats.unfold(_load_sequence(config), degree=config["degree"])
     test = levelstats.spacing_test(sample, config["model"])
     if config["histogram"]:
         with open(config["histogram"], "w") as fh:
             fh.write(test.histogram_csv())
-    payload = {"spacing_test": test.to_dict()}
-    _emit_report(
-        _report_envelope("stats", config, payload, args.no_timestamp),
-        config["report"],
-    )
-    return EXIT_OK if test.passed else EXIT_VERIFY_FAIL
+    return {"spacing_test": test.to_dict()}, test.passed
 
 
-def _cmd_zeta(args) -> int:
-    defaults = {
-        "zeros": None,
-        "compute": None,
-        "degree": levelstats.DEFAULT_UNFOLD_DEGREE,
-        "modes": 1,
-        "synthesize_out": None,
-        "report": None,
-    }
-    config = _resolve_config(args, defaults)
+def _cmd_zeta(config: dict) -> tuple[dict, bool]:
     if config["zeros"]:
         zero_set = zeta.parse_zeros(config["zeros"])
     elif config["compute"]:
-        zero_set = zeta.compute_zeros(int(config["compute"]))
+        zero_set = zeta.compute_zeros(config["compute"])
     else:
         raise InputError("provide --zeros FILE or --compute COUNT")
-    sample = levelstats.unfold(zero_set.values, degree=int(config["degree"]))
+    sample = levelstats.unfold(zero_set.values, degree=config["degree"])
     # short zero tables are a tendency check, so relax the sample-size floor
     tests = {
         model: levelstats.spacing_test(sample, model, min_count=10)
         for model in levelstats.MODELS
     }
     if config["synthesize_out"]:
-        basis = TruncationBasis.build(int(config["modes"]), zero_set.count)
+        basis = TruncationBasis.build(config["modes"], zero_set.count)
         A = synthesize(zero_set.values, basis)
         with open(config["synthesize_out"], "w") as fh:
             fh.write(matrix_to_json(A) + "\n")
@@ -231,69 +250,42 @@ def _cmd_zeta(args) -> int:
             tests["gue"].ks_distance < tests["poisson"].ks_distance
         ),
     }
-    _emit_report(
-        _report_envelope("zeta", config, payload, args.no_timestamp),
-        config["report"],
-    )
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_schrodinger(args) -> int:
-    defaults = {
-        "dimension": 1,
-        "potential": "harmonic",
-        "half_width": 10.0,
-        "points": 100,
-        "levels": 10,
-        "out": None,
-        "pipeline": False,
-        "modes": 1,
-        "cap": None,
-        "report": None,
-    }
-    config = _resolve_config(args, defaults)
-    grid = schrodinger.GridSpec(
-        int(config["dimension"]), float(config["half_width"]), int(config["points"])
-    )
+def _cmd_schrodinger(config: dict) -> tuple[dict, bool]:
+    grid = schrodinger.GridSpec(config["dimension"], config["half_width"], config["points"])
     pot_name = config["potential"]
     if pot_name == "harmonic":
         pot = schrodinger.PotentialSpec.harmonic()
     elif pot_name == "x2y2":
         pot = schrodinger.PotentialSpec.quartic_cross()
-    elif isinstance(pot_name, str) and pot_name.startswith("csv:"):
+    elif pot_name.startswith("csv:"):
         pot = schrodinger.load_potential_csv(pot_name[4:], grid)
     else:
         raise InputError(
             f"unknown potential {pot_name!r}; use harmonic, x2y2 or csv:PATH"
         )
-    cap = int(config["cap"]) if config["cap"] is not None else schrodinger.dimension_cap()
-    if grid.size > cap:
-        raise CapacityError(
-            f"matrix dimension {grid.size} exceeds cap {cap}; use a coarser grid"
-        )
-    m = int(config["levels"])
-    levels = schrodinger.low_spectrum(schrodinger.assemble_sparse(grid, pot), m)
+    schrodinger.check_dimension(grid.size, config["cap"])
+    levels = schrodinger.low_spectrum(
+        schrodinger.assemble_sparse(grid, pot), config["levels"]
+    )
     if config["out"]:
         spectra.save_spectrum_text(levels, config["out"])
     payload = {
         "grid": {"dimension": grid.dimension, "half_width": grid.L, "points": grid.M},
         "levels": levels.tolist(),
     }
-    passed = True
-    if config["pipeline"]:
-        cert = schrodinger.certify_levels(levels, int(config["modes"]))
-        payload["certificate"] = cert.to_dict()
-        passed = cert.passed
-    _emit_report(
-        _report_envelope("schrodinger", config, payload, args.no_timestamp),
-        config["report"],
-    )
-    return EXIT_OK if passed else EXIT_VERIFY_FAIL
+    if not config["pipeline"]:
+        return payload, True
+    cert = schrodinger.certify_levels(levels, config["modes"])
+    payload["certificate"] = cert.to_dict()
+    return payload, cert.passed
 
 
-def _parse_phase_vector(text, n: int, name: str) -> np.ndarray:
+def _parse_phase_vector(text: str, n: int, name: str) -> np.ndarray:
     try:
-        values = np.array([float(v) for v in str(text).split(",")])
+        values = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise InputError(f"bad {name} vector {text!r}")
     if values.size != n:
@@ -301,36 +293,13 @@ def _parse_phase_vector(text, n: int, name: str) -> np.ndarray:
     return values
 
 
-def _cmd_classical(args) -> int:
-    defaults = {
-        "spectrum": None,
-        "set": None,
-        "count": None,
-        "modes": 1,
-        "nodes": 8,
-        "x0": None,
-        "p0": None,
-        "time": 100.0,
-        "dt": None,
-        "trajectory": None,
-        "report": None,
-    }
-    config = _resolve_config(args, defaults)
+def _cmd_classical(config: dict) -> tuple[dict, bool]:
     seq = _load_sequence(config)
-    n = int(config["modes"])
-    table = classical.ActionTable.build(seq, n, int(config["nodes"]))
-    x0 = (
-        _parse_phase_vector(config["x0"], n, "x0")
-        if config["x0"] is not None
-        else np.ones(n)
-    )
-    p0 = (
-        _parse_phase_vector(config["p0"], n, "p0")
-        if config["p0"] is not None
-        else np.zeros(n)
-    )
-    dt = float(config["dt"]) if config["dt"] is not None else None
-    flow = classical.integrate_flow(table, x0, p0, float(config["time"]), dt=dt)
+    n = config["modes"]
+    table = classical.ActionTable.build(seq, n, config["nodes"])
+    x0 = np.ones(n) if config["x0"] is None else _parse_phase_vector(config["x0"], n, "x0")
+    p0 = np.zeros(n) if config["p0"] is None else _parse_phase_vector(config["p0"], n, "p0")
+    flow = classical.integrate_flow(table, x0, p0, config["time"], dt=config["dt"])
     if config["trajectory"]:
         with open(config["trajectory"], "w") as fh:
             fh.write(flow.trajectory_csv())
@@ -341,24 +310,62 @@ def _cmd_classical(args) -> int:
         "steps": int(flow.times.size - 1),
         "truncated": flow.truncated,
     }
-    _emit_report(
-        _report_envelope("classical", config, payload, args.no_timestamp),
-        config["report"],
-    )
-    return EXIT_OK
+    return payload, True
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags take precedence)")
-    p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="omit the timestamp for byte-reproducible reports",
-    )
+SUBCOMMANDS = {
+    "synthesize": Subcommand(_cmd_synthesize, "build a diagonal operator realizing a spectrum", (
+        *SPECTRUM_INPUT,
+        MODES,
+        Option("dim", integer, help="truncation dimension (default: full spectrum)"),
+        Option("out", help="write the operator matrix JSON here"),
+        REPORT,
+    )),
+    "verify": Subcommand(_cmd_verify, "run the full intertwiner pipeline on a matrix", (
+        Option("matrix", help="Hermitian matrix JSON {dim, re, im}"),
+        MODES,
+        Option("tol", number, help="isospectrality tolerance"),
+        REPORT,
+    )),
+    "stats": Subcommand(_cmd_stats, "unfold a spectrum and test its spacing law", (
+        *SPECTRUM_INPUT,
+        Option("model", text, "poisson", "spacing law to test", levelstats.MODELS),
+        DEGREE,
+        Option("histogram", help="write spacing histogram CSV here"),
+        REPORT,
+    )),
+    "zeta": Subcommand(_cmd_zeta, "critical-line zeros: Poisson vs GUE comparison", (
+        Option("zeros", help="file of ascending zeros, one per line"),
+        Option("compute", integer, help="compute the first COUNT zeros (<= 100)"),
+        DEGREE,
+        MODES,
+        Option("synthesize_out", help="also write the integrable operator realizing the zeros"),
+        REPORT,
+    )),
+    "schrodinger": Subcommand(_cmd_schrodinger, "finite-difference -Laplacian + V spectra", (
+        Option("dimension", integer, 1, "grid dimension", (1, 2)),
+        Option("potential", text, "harmonic", "harmonic | x2y2 | csv:PATH"),
+        Option("half_width", number, 10.0, "box half-width L"),
+        Option("points", integer, 100, "interior grid points per axis"),
+        Option("levels", integer, 10, "how many low eigenvalues to keep"),
+        Option("out", help="write the spectrum text file here"),
+        Option("pipeline", boolean, False, "also certify the projection onto the levels"),
+        MODES,
+        Option("cap", integer, help="matrix dimension cap override"),
+        REPORT,
+    )),
+    "classical": Subcommand(_cmd_classical, "action-variable flow with drift report", (
+        *SPECTRUM_INPUT,
+        MODES,
+        Option("nodes", integer, 8, "action nodes per mode K"),
+        Option("x0", help="comma-separated initial positions (default all 1)"),
+        Option("p0", help="comma-separated initial momenta (default all 0)"),
+        Option("time", number, 100.0, "integration time T"),
+        Option("dt", number, help="time step (default from table frequency)"),
+        Option("trajectory", help="write trajectory CSV here"),
+        REPORT,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,89 +375,44 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze level statistics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synthesize", help="build a diagonal operator realizing a spectrum")
-    p.add_argument("--spectrum", help="spectrum file, one float per line")
-    p.add_argument("--set", help="closed-set spec: finite:V1,V2 | interval:LO:HI | cantor")
-    p.add_argument("--count", type=int, help="dense-subset length for --set")
-    p.add_argument("--modes", type=int, help="number of modes n (default 1)")
-    p.add_argument("--dim", type=int, help="truncation dimension (default: full spectrum)")
-    p.add_argument("--out", help="write the operator matrix JSON here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_synthesize)
-
-    p = sub.add_parser("verify", help="run the full intertwiner pipeline on a matrix")
-    p.add_argument("--matrix", help="Hermitian matrix JSON {dim, re, im}")
-    p.add_argument("--modes", type=int, help="number of first integrals (default 1)")
-    p.add_argument("--tol", type=float, help="isospectrality tolerance")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("stats", help="unfold a spectrum and test its spacing law")
-    p.add_argument("--spectrum", help="spectrum file, one float per line")
-    p.add_argument("--set", help="closed-set spec (alternative input)")
-    p.add_argument("--count", type=int, help="dense-subset length for --set")
-    p.add_argument("--model", choices=list(levelstats.MODELS))
-    p.add_argument("--degree", type=int, help="unfolding polynomial degree")
-    p.add_argument("--histogram", help="write spacing histogram CSV here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("zeta", help="critical-line zeros: Poisson vs GUE comparison")
-    p.add_argument("--zeros", help="file of ascending zeros, one per line")
-    p.add_argument("--compute", type=int, help="compute the first COUNT zeros (<= 100)")
-    p.add_argument("--degree", type=int, help="unfolding polynomial degree")
-    p.add_argument("--modes", type=int, help="modes for --synthesize-out")
-    p.add_argument(
-        "--synthesize-out",
-        dest="synthesize_out",
-        help="also write the integrable operator realizing the zeros",
-    )
-    _add_common(p)
-    p.set_defaults(func=_cmd_zeta)
-
-    p = sub.add_parser("schrodinger", help="finite-difference -Laplacian + V spectra")
-    p.add_argument("--dimension", type=int, choices=(1, 2))
-    p.add_argument("--potential", help="harmonic | x2y2 | csv:PATH")
-    p.add_argument("--half-width", dest="half_width", type=float, help="box half-width L")
-    p.add_argument("--points", type=int, help="interior grid points per axis")
-    p.add_argument("--levels", type=int, help="how many low eigenvalues to keep")
-    p.add_argument("--out", help="write the spectrum text file here")
-    p.add_argument("--pipeline", action="store_true", default=None,
-                   help="also run the integrability pipeline on the projection")
-    p.add_argument("--modes", type=int, help="modes for the pipeline certificate")
-    p.add_argument("--cap", type=int, help="matrix dimension cap override")
-    _add_common(p)
-    p.set_defaults(func=_cmd_schrodinger)
-
-    p = sub.add_parser("classical", help="action-variable flow with drift report")
-    p.add_argument("--spectrum", help="spectrum file, one float per line")
-    p.add_argument("--set", help="closed-set spec (alternative input)")
-    p.add_argument("--count", type=int, help="dense-subset length for --set")
-    p.add_argument("--modes", type=int, help="number of modes n")
-    p.add_argument("--nodes", type=int, help="action nodes per mode K")
-    p.add_argument("--x0", help="comma-separated initial positions")
-    p.add_argument("--p0", help="comma-separated initial momenta")
-    p.add_argument("--time", type=float, help="integration time T")
-    p.add_argument("--dt", type=float, help="time step (default from table frequency)")
-    p.add_argument("--trajectory", help="write trajectory CSV here")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classical)
-
+    for name, command in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            kind = (
+                {"action": "store_true"} if opt.convert is boolean
+                else {"type": opt.convert, "choices": opt.choices or None}
+            )
+            shown = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
+            # every flag defaults to None, so _resolve_config sees which were given
+            p.add_argument("--" + opt.name.replace("_", "-"), default=None, help=shown, **kind)
+        p.add_argument("--config", help="JSON config file (flags take precedence)")
+        p.add_argument("--no-timestamp", action="store_true",
+                       help="omit the timestamp for byte-reproducible reports")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = SUBCOMMANDS[args.subcommand]
     try:
-        return args.func(args)
+        config = _resolve_config(args, command.options)
+        payload, passed = command.run(config)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "subcommand": args.subcommand,
+            "config": config,
+            **payload,
+        }
+        if not args.no_timestamp:
+            report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        _emit_report(report, config["report"])
     except CapacityError as exc:
         print(f"error: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY_ERROR
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_OK if passed else EXIT_VERIFY_FAIL
 
 
 def main() -> None:

@@ -122,13 +122,13 @@ def matrix_to_json(M: np.ndarray) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
     try:
+        data = json.loads(text)
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad matrix JSON: {exc}")
-    if re.size != dim * dim or im.size != dim * dim:
+    if dim < 0 or re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise InputError("matrix JSON arrays do not match dim*dim")
     return (re + 1j * im).reshape(dim, dim)

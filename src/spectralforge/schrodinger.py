@@ -36,6 +36,16 @@ def dimension_cap() -> int:
     return cap
 
 
+def check_dimension(
+    size: int, cap: int | None = None, what: str = "matrix dimension",
+    remedy: str = "use a coarser grid",
+) -> None:
+    """Refuse ``size`` above ``cap``, which defaults to ``dimension_cap()``."""
+    cap = dimension_cap() if cap is None else int(cap)
+    if size > cap:
+        raise CapacityError(f"{what} {size} exceeds cap {cap}; {remedy} or raise the cap")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform Dirichlet grid on [-L, L]^dimension with M interior points per axis."""
@@ -109,7 +119,10 @@ class PotentialSpec:
 
 def load_potential_csv(path, grid: GridSpec) -> PotentialSpec:
     """Read a (x[,y],V) table whose rows match the grid nodes in row-major order."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
     expected_cols = grid.dimension + 1
     if data.shape[1] != expected_cols:
         raise InputError(
@@ -150,12 +163,7 @@ def build_fd_hamiltonian(
     grid: GridSpec, pot: PotentialSpec, cap: int | None = None
 ) -> np.ndarray:
     """Dense FD Hamiltonian, refused above the dimension cap."""
-    cap = dimension_cap() if cap is None else int(cap)
-    if grid.size > cap:
-        raise CapacityError(
-            f"matrix dimension {grid.size} exceeds cap {cap}; "
-            "use a coarser grid or raise the cap"
-        )
+    check_dimension(grid.size, cap)
     return assemble_sparse(grid, pot).toarray()
 
 
@@ -208,9 +216,7 @@ def pipeline_integrate(
     Solves for the lowest m levels of the FD Hamiltonian, then certifies
     their projection with ``certify_levels``.
     """
-    cap = dimension_cap() if cap is None else int(cap)
-    if m > cap:
-        raise CapacityError(f"projected dimension {m} exceeds cap {cap}")
+    check_dimension(m, cap, "projected dimension", "request fewer levels")
     return certify_levels(low_spectrum(assemble_sparse(grid, pot), m), n_modes)
 
 

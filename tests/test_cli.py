@@ -319,3 +319,85 @@ def test_classical_start_on_domain_edge_exit_0(tmp_path, capsys):
     assert code == 0
     assert report["truncated"] is False
     assert report["initial_energy"] == pytest.approx(7.0)
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+def test_verify_malformed_matrix_exit_2(tmp_path, capsys, content):
+    matrix = tmp_path / "op.json"
+    matrix.write_bytes(content)
+    assert cli.run(["verify", "--matrix", str(matrix)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input:")
+
+
+def test_schrodinger_non_numeric_potential_csv_exit_2(tmp_path, capsys):
+    table = tmp_path / "v.csv"
+    table.write_text("x\n")
+    argv = ["schrodinger", "--points", "16", "--potential", f"csv:{table}"]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input:")
+
+
+def _write_matrix(path):
+    code = cli.run(["synthesize", "--set", "finite:0,1,2", "--count", "8", "--out",
+                    str(path), "--report", str(path.with_suffix(".report.json"))])
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "subcommand, file_cfg",
+    [
+        ("synthesize", {"set": 5, "count": 3}),
+        ("synthesize", {"set": "finite:0,1,2", "count": [3]}),
+        ("synthesize", {"set": "finite:0,1,2", "count": 3, "modes": 1.7}),
+        ("synthesize", {"set": "finite:0,1,2", "count": 3, "modes": True}),
+        ("stats", {"set": "interval:0:1", "count": 50, "degree": "x"}),
+        ("schrodinger", {"points": 20, "levels": 3, "cap": "abc"}),
+        ("schrodinger", {"points": 20, "levels": 3, "half_width": "abc"}),
+        ("schrodinger", {"points": 20, "levels": 3, "pipeline": "no"}),
+        ("schrodinger", {"points": 20, "levels": 3, "modes": None}),
+        ("verify", {"matrix": "MATRIX", "tol": "x"}),
+        ("verify", {"matrix": 7}),
+    ],
+    ids=["set_number", "count_list", "modes_fraction", "modes_bool", "degree_text", "cap_text",
+         "half_width_text", "pipeline_text", "modes_null", "tol_text", "matrix_number"],
+)
+def test_config_value_rejected_exit_2(tmp_path, capsys, subcommand, file_cfg):
+    if file_cfg.get("matrix") == "MATRIX":
+        file_cfg = dict(file_cfg, matrix=_write_matrix(tmp_path / "op.json"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    capsys.readouterr()
+    assert cli.run([subcommand, "--config", str(cfg), "--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: input:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synthesize", "--set", "cantor", "--count", "20", "--dim", "12", "--modes", "2"],
+        ["verify", "--matrix", "MATRIX", "--modes", "2", "--tol", "1e-8"],
+        ["stats", "--set", "interval:0:1", "--count", "300", "--model", "gue", "--degree", "2"],
+        ["zeta", "--zeros", "ZEROS", "--modes", "2"],
+        ["schrodinger", "--points", "32", "--levels", "4", "--half-width", "8", "--pipeline"],
+        ["classical", "--set", "interval:0:5", "--count", "200", "--modes", "2", "--time",
+         "1", "--dt", "0.01", "--x0", "1,1.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_config_block_round_trips(tmp_path, capsys, zeros_file, argv):
+    # a report's config block, fed back through --config, reproduces the report
+    replace = {"MATRIX": lambda: _write_matrix(tmp_path / "op.json"), "ZEROS": lambda: zeros_file}
+    argv = [replace[a]() if a in replace else a for a in argv] + ["--no-timestamp"]
+    capsys.readouterr()
+    code = cli.run(argv)
+    from_flags = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads(from_flags)["config"]))
+    assert cli.run([argv[0], "--config", str(cfg), "--no-timestamp"]) == code
+    assert capsys.readouterr().out == from_flags

@@ -156,3 +156,18 @@ def test_matrix_json_bytes_match_17g_round_trip():
 def test_matrix_json_validation():
     with pytest.raises(InputError):
         matrix_from_json('{"dim": 2, "re": [1.0], "im": [0.0]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        '{"dim": 2, "re": ["a", 0, 0, 1], "im": [0, 0, 0, 0]}',
+        '{"dim": -1, "re": [1], "im": [0]}',
+        '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [0, 0, 0, 0]}',
+    ],
+    ids=["not_json", "non_numeric_entry", "negative_dim", "nested_re"],
+)
+def test_matrix_from_json_rejects_malformed_payload(text):
+    with pytest.raises(InputError):
+        matrix_from_json(text)
