@@ -19,10 +19,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import classical, levelstats, schrodinger, spectra, zeta
 from .errors import CapacityError, InputError
-from .fockspace import TruncationBasis, matrix_from_json, matrix_to_json, synthesize
+from .fockspace import (
+    TruncationBasis,
+    _synthesized_diagonal,
+    is_diagonal,
+    matrix_from_json,
+    matrix_to_json,
+    sparse_diagonal,
+)
 from .intertwiner import certify
 
 SCHEMA_VERSION = 1
@@ -176,8 +184,10 @@ def _load_sequence(config: dict) -> np.ndarray:
     if config["spectrum"]:
         return spectra.load_spectrum_text(config["spectrum"])
     if config["set"]:
-        if not config["count"]:
+        if config["count"] is None:
             raise InputError("--count is required with --set")
+        if config["count"] < 1:
+            raise InputError(f"--count must be at least 1, got {config['count']}")
         return spectra.dense_subset(_parse_set_spec(config["set"]), config["count"])
     raise InputError("provide --spectrum FILE or --set SPEC")
 
@@ -188,8 +198,8 @@ def _load_sequence(config: dict) -> np.ndarray:
 def _cmd_synthesize(config: dict) -> tuple[dict, bool]:
     seq = _load_sequence(config)
     d = config["dim"] or seq.size
-    A = synthesize(seq, TruncationBasis.build(config["modes"], d))
-    spectrum_of_A = np.sort(np.diag(A).real)
+    A = sparse_diagonal(_synthesized_diagonal(seq, TruncationBasis.build(config["modes"], d)))
+    spectrum_of_A = np.sort(A.diagonal().real)
     check = spectra.completely_isospectral(spectrum_of_A, np.sort(seq[:d]), tol=0.0)
     if config["out"]:
         with open(config["out"], "w") as fh:
@@ -210,6 +220,9 @@ def _cmd_verify(config: dict) -> tuple[dict, bool]:
             H = matrix_from_json(fh.read())
     except FileNotFoundError:
         raise InputError(f"matrix file not found: {config['matrix']}")
+    if sp.issparse(H) and not is_diagonal(H):
+        # certify decomposes a matrix that is not diagonal densely
+        schrodinger.check_dimension(H.shape[0], remedy="give a smaller matrix")
     cert = certify(H, None, config["modes"], tol=config["tol"])
     return {"certificate": cert.to_dict()}, cert.passed
 
@@ -226,7 +239,11 @@ def _cmd_stats(config: dict) -> tuple[dict, bool]:
 def _cmd_zeta(config: dict) -> tuple[dict, bool]:
     if config["zeros"]:
         zero_set = zeta.parse_zeros(config["zeros"])
-    elif config["compute"]:
+    elif config["compute"] is not None:
+        if config["compute"] < 1:
+            raise InputError(
+                f"--compute must be in 1..{zeta.MAX_COMPUTED_ZEROS}, got {config['compute']}"
+            )
         zero_set = zeta.compute_zeros(config["compute"])
     else:
         raise InputError("provide --zeros FILE or --compute COUNT")
@@ -238,7 +255,7 @@ def _cmd_zeta(config: dict) -> tuple[dict, bool]:
     }
     if config["synthesize_out"]:
         basis = TruncationBasis.build(config["modes"], zero_set.count)
-        A = synthesize(zero_set.values, basis)
+        A = sparse_diagonal(_synthesized_diagonal(zero_set.values, basis))
         with open(config["synthesize_out"], "w") as fh:
             fh.write(matrix_to_json(A) + "\n")
     payload = {
@@ -318,11 +335,12 @@ SUBCOMMANDS = {
         *SPECTRUM_INPUT,
         MODES,
         Option("dim", integer, help="truncation dimension (default: full spectrum)"),
-        Option("out", help="write the operator matrix JSON here"),
+        Option("out", help="write the operator as sparse matrix JSON here"),
         REPORT,
     )),
     "verify": Subcommand(_cmd_verify, "run the full intertwiner pipeline on a matrix", (
-        Option("matrix", help="Hermitian matrix JSON {dim, re, im}"),
+        Option("matrix", help="Hermitian matrix JSON, dense {dim, re, im} or sparse "
+               "{dim, rows, cols, re, im}"),
         MODES,
         Option("tol", number, help="isospectrality tolerance"),
         REPORT,
@@ -368,8 +386,15 @@ SUBCOMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are input errors: exit 2 with one line, as for config values."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spectral-forge",
         description="Realize prescribed spectra as integrable operators and "
         "analyze level statistics.",
@@ -392,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    command = SUBCOMMANDS[args.subcommand]
     try:
+        args = build_parser().parse_args(argv)
+        command = SUBCOMMANDS[args.subcommand]
         config = _resolve_config(args, command.options)
         payload, passed = command.run(config)
         report = {

@@ -4,8 +4,12 @@ The truncation basis is the graded-lex prefix of multi-indices, so for any
 basis size d the synthesized Hamiltonian and all number operators are
 simultaneously diagonal on exactly d states.  Inside the package those
 diagonal operators are held as 1-D arrays of their diagonals
-(``_number_diagonal``, ``_synthesized_diagonal``); ``number_operator`` and
-``synthesize`` return the dense matrices only at the public edge.
+(``_number_diagonal``, ``_synthesized_diagonal``), or as CSR arrays of d
+entries (``sparse_diagonal``).
+
+Matrix JSON comes in two forms: dense ``{dim, re, im}`` with all d*d
+entries in row-major order, and sparse ``{dim, rows, cols, re, im}`` with
+the nonzero entries only.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import pairing
 from .errors import InputError
@@ -35,6 +40,26 @@ class TruncationBasis:
         idx = pairing.enumerate_first(d, n)
         idx.setflags(write=False)
         return cls(n=int(n), d=int(d), indices=idx)
+
+
+def is_diagonal(M) -> bool:
+    """True when every nonzero entry of the 2-D array M, dense or sparse, is on its diagonal.
+
+    A dense M is mostly settled by its first row, in O(d).
+    """
+    if sp.issparse(M):
+        M = M.tocoo()
+        return not np.any(M.data[M.row != M.col])
+    if np.count_nonzero(M[:1, 1:]):
+        return False
+    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
+
+
+def sparse_diagonal(diag) -> sp.csr_array:
+    """The diagonal operator with diagonal ``diag``, as a complex CSR array of d entries."""
+    diag = np.asarray(diag, dtype=complex)
+    d = diag.size
+    return sp.csr_array((diag, np.arange(d), np.arange(d + 1)), shape=(d, d))
 
 
 def is_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -106,12 +131,29 @@ def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# matrix JSON interchange: {dim, re: row-major, im: row-major}
+# matrix JSON interchange: dense {dim, re, im}, both row-major, or sparse
+# {dim, rows, cols, re, im}, one list entry per nonzero
 
-def matrix_to_json(M: np.ndarray) -> str:
-    M = np.asarray(M, dtype=complex)
+def matrix_to_json(M) -> str:
+    """The dense form for an array, the sparse form for a scipy sparse array."""
+    if not sp.issparse(M):
+        M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError("matrix must be square")
+    if sp.issparse(M):
+        C = sp.csr_array(M, dtype=complex, copy=True)
+        C.sum_duplicates()  # also sorts each row, so entries go row-major
+        C.eliminate_zeros()
+        C = C.tocoo()
+        return json.dumps(
+            {
+                "dim": C.shape[0],
+                "rows": C.row.tolist(),
+                "cols": C.col.tolist(),
+                "re": C.data.real.tolist(),
+                "im": C.data.imag.tolist(),
+            }
+        )
     return json.dumps(
         {
             "dim": M.shape[0],
@@ -121,14 +163,39 @@ def matrix_to_json(M: np.ndarray) -> str:
     )
 
 
-def matrix_from_json(text: str) -> np.ndarray:
+def _json_indices(values, dim: int, name: str) -> np.ndarray:
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise InputError(f"matrix JSON {name} must be a list of integers")
+    idx = np.array(values, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= dim):
+        raise InputError(f"matrix JSON {name} has an index outside 0..{dim - 1}")
+    return idx
+
+
+def matrix_from_json(text: str):
+    """A dense array from the dense form, a CSR array from the sparse form."""
     try:
         data = json.loads(text)
         dim = int(data["dim"])
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
+        sparse = "rows" in data or "cols" in data
+        if sparse:
+            rows = _json_indices(data["rows"], dim, "rows")
+            cols = _json_indices(data["cols"], dim, "cols")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad matrix JSON: {exc}")
-    if dim < 0 or re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise InputError("matrix JSON arrays do not match dim*dim")
-    return (re + 1j * im).reshape(dim, dim)
+    if dim < 0:
+        raise InputError("matrix JSON dim is negative")
+    if not sparse:
+        if re.shape != (dim * dim,) or im.shape != (dim * dim,):
+            raise InputError("matrix JSON arrays do not match dim*dim")
+        return (re + 1j * im).reshape(dim, dim)
+    if not rows.shape == cols.shape == re.shape == im.shape:
+        raise InputError("matrix JSON rows, cols, re and im differ in length")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InputError("matrix JSON has entries that are not finite")
+    order = np.lexsort((cols, rows))
+    if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
+        raise InputError("matrix JSON repeats a (row, col) pair")
+    return sp.csr_array((re + 1j * im, (rows, cols)), shape=(dim, dim))

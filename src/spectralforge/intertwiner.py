@@ -9,15 +9,15 @@ states.
 A is held as the 1-D array of its diagonal.  Its eigenvectors are basis
 vectors, so U is a row permutation of V_H^dagger read off an ``argsort``
 of that diagonal.  The one O(d^3) decomposition per certificate is
-``eigh(H)``, and only for a general H: the eigenpairs of an exactly
-diagonal H come from an ``argsort`` of its diagonal too, so U is then a
-permutation and every T_i is diagonal.
+``eigh(H)``, and only for a general H.  An exactly diagonal H, dense or
+sparse, is ordered by an ``argsort`` of its diagonal instead: U is then a
+CSR permutation, every T_i a CSR diagonal, and a certificate costs O(d).
 
 Verification measures in the original frame from H, U, T and the diagonal
-of A only.  Each operand that is monomial (at most one nonzero per row and
-per column: a diagonal or a scaled permutation) is multiplied as a CSR
-array holding every entry passed in, so its products and norms cost O(d)
-instead of O(d^3); any other operand goes through dense BLAS.  The
+of A only.  A sparse operand is multiplied as it is, and so is a dense
+operand that is monomial (at most one nonzero per row and per column: a
+diagonal or a scaled permutation), as a CSR array holding every entry
+passed in; any other operand goes through dense BLAS.  The
 commutator of Hermitian X and Y is evaluated as XY - (XY)^dagger, so
 verification also measures the Hermiticity defect of H and of every T_i,
 and gates it in ``passed`` together with the commutators and, when A is
@@ -40,36 +40,28 @@ from .fockspace import (
     _number_diagonal,
     _synthesized_diagonal,
     eigendecompose,
+    is_diagonal,
 )
 
 UNITARITY_TOL_PER_DIM = 1e-9
 DEFAULT_COMMUTATOR_TOL = 1e-8
 
 
-def _is_diagonal(M: np.ndarray) -> bool:
-    """True when every nonzero entry of the 2-D array M is on its diagonal.
-
-    The first row settles most non-diagonal matrices in O(d).
-    """
-    if np.count_nonzero(M[:1, 1:]):
-        return False
-    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
-
-
 def _diagonal(A, name: str = "A") -> np.ndarray:
     """Real diagonal of A, given as that 1-D diagonal or as a diagonal matrix.
 
-    Rejects what ``eigendecompose`` rejects of a diagonal matrix: entries
-    that are not finite, and a Hermiticity defect above HERMITICITY_RTOL.
-    Always a copy, so no dense A outlives the caller's reference to it.
+    The matrix may be dense or sparse.  Rejects what ``eigendecompose``
+    rejects of a diagonal matrix: entries that are not finite, and a
+    Hermiticity defect above HERMITICITY_RTOL.  Always a copy, so no dense
+    A outlives the caller's reference to it.
     """
-    arr = np.asarray(A)
+    arr = A if sp.issparse(A) else np.asarray(A)
     if arr.ndim == 2:
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"{name} must be square, got shape {arr.shape}")
-        if not _is_diagonal(arr):
+        if not is_diagonal(arr):
             raise InputError(f"{name} must be diagonal")
-        diag = np.diagonal(arr)
+        diag = arr.diagonal()
     elif arr.ndim == 1:
         diag = arr
     else:
@@ -85,19 +77,30 @@ def _diagonal(A, name: str = "A") -> np.ndarray:
     return diag.real.astype(float)
 
 
-def _eigenpairs(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of H; an exactly diagonal H needs no ``eigh``.
+def _hamiltonian(H):
+    """H as certification works on it: CSR for an exactly diagonal H, dense
+    or sparse, and a dense complex array for any other H."""
+    if not sp.issparse(H):
+        H = np.asarray(H, dtype=complex)
+        if H.ndim != 2 or not is_diagonal(H):
+            return H
+    elif not is_diagonal(H):
+        return np.asarray(H.toarray(), dtype=complex)
+    return sp.csr_array(H, dtype=complex)
 
-    The eigenvalues of a diagonal H are its diagonal in stable ascending
-    order, and the matching eigenvectors are the basis vectors in that order.
+
+def _eigenpairs(H) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of H as ``_hamiltonian`` gives it.
+
+    A dense H gives its eigenvector columns V_H from ``eigh``.  A CSR H is
+    diagonal and needs no ``eigh``: it gives the stable ``argsort`` of its
+    diagonal instead, and its k-th eigenvector is basis vector ``order[k]``.
     """
-    if H.ndim != 2 or not _is_diagonal(H):
+    if not sp.issparse(H):
         return eigendecompose(H)
     h = _diagonal(H, "H")
     order = np.argsort(h, kind="stable")
-    VH = np.zeros(H.shape, dtype=complex)
-    VH[order, np.arange(h.size)] = 1.0
-    return h[order], VH
+    return h[order], order
 
 
 def _sparse_if_monomial(M: np.ndarray):
@@ -117,12 +120,13 @@ def _sparse_if_monomial(M: np.ndarray):
     return sp.csr_array((M[rows, cols], (rows, cols)), shape=M.shape)
 
 
-def _intertwine(wH: np.ndarray, VH: np.ndarray, a: np.ndarray, tol: float | None) -> np.ndarray:
+def _intertwine(wH: np.ndarray, VH: np.ndarray, a: np.ndarray, tol: float | None):
     """U with UH = diag(a) U, from the ascending eigenpairs (wH, VH) of H.
 
     Requires wH and ``a`` to match as multisets within ``tol``.  The k-th
     eigenvector of H goes to the basis position holding the k-th smallest
-    entry of ``a``; ties keep basis order.
+    entry of ``a``; ties keep basis order.  A 1-D ``VH`` is the ``order``
+    of a diagonal H (see ``_eigenpairs``), and U is then a CSR permutation.
     """
     if tol is None:
         tol = spectra.default_tolerance(wH, a)
@@ -132,41 +136,50 @@ def _intertwine(wH: np.ndarray, VH: np.ndarray, a: np.ndarray, tol: float | None
             f"operators are not isospectral within tol={tol:g}", report=report
         )
     perm = np.argsort(a, kind="stable")
+    if VH.ndim == 1:
+        # row perm[k] of U holds a one in column order[k]
+        cols = np.empty_like(VH)
+        cols[perm] = VH
+        ones = np.ones(a.size, dtype=complex)
+        return sp.csr_array((ones, cols, np.arange(a.size + 1)), shape=(a.size, a.size))
     U = np.empty((a.size, a.size), dtype=complex)
     U[perm] = VH.conj().T
     return U
 
 
-def build_unitary(H: np.ndarray, A, tol: float | None = None) -> np.ndarray:
+def build_unitary(H, A, tol: float | None = None):
     """Unitary U with UH = AU, built from ascending-ordered eigenbases.
 
     A is diagonal, given as a matrix or as its 1-D diagonal.  Requires the
     two spectra to match as multisets within ``tol`` (default
-    1e-9 * max(1, spectral range)).
+    1e-9 * max(1, spectral range)).  U is a CSR permutation for a sparse
+    diagonal H, and a dense array for any other H.
     """
-    H = np.asarray(H, dtype=complex)
+    dense = not sp.issparse(H)
+    H = _hamiltonian(H)
     a = _diagonal(A)
     if H.shape != (a.size, a.size):
         raise InputError(f"dimension mismatch: {H.shape} vs {(a.size, a.size)}")
     wH, VH = _eigenpairs(H)
-    return _intertwine(wH, VH, a, tol)
+    U = _intertwine(wH, VH, a, tol)
+    return U.toarray() if dense and sp.issparse(U) else U
 
 
-def first_integrals(U: np.ndarray, basis: TruncationBasis) -> list[np.ndarray]:
+def first_integrals(U, basis: TruncationBasis) -> list:
     """T_i = U† N_i U for each mode of the basis, one matmul per mode.
 
-    A monomial U gives diagonal T_i in O(d) each; they are returned dense.
+    A sparse U gives CSR T_i, which for a permutation U are diagonal and
+    cost O(d) each; a dense U gives dense T_i.
     """
-    U = np.asarray(U, dtype=complex)
+    U = sp.csr_array(U, dtype=complex) if sp.issparse(U) else np.asarray(U, dtype=complex)
     if U.shape != (basis.d, basis.d):
         raise InputError(
             f"unitary dimension {U.shape} does not match basis size {basis.d}"
         )
-    U = _sparse_if_monomial(U)
     Ud = U.conj().T
     # U† N_i scales column k of U† by the k-th diagonal entry of N_i
     T = [(Ud * _number_diagonal(basis, i)) @ U for i in range(1, basis.n + 1)]
-    return [Ti.toarray() if sp.issparse(Ti) else Ti for Ti in T]
+    return [sp.csr_array(Ti) for Ti in T] if sp.issparse(U) else T
 
 
 @dataclass
@@ -175,8 +188,8 @@ class IntegrabilityCertificate:
 
     dim: int
     n_modes: int
-    U: np.ndarray = field(repr=False)
-    T: list = field(repr=False)
+    U: object = field(repr=False)  # from certify: CSR for a diagonal H, else dense
+    T: list = field(repr=False)  # from certify: of the same kind as U
     joint_spectrum: np.ndarray = field(repr=False)
     unitarity_defect: float
     intertwining_residual: float | None
@@ -227,10 +240,15 @@ def _hermitian_commutator(X: np.ndarray, Y: np.ndarray) -> float:
     return _frob(XY - XY.conj().T)
 
 
+def _operand(M):
+    """M as verification multiplies it: CSR for a sparse M, else ``_sparse_if_monomial(M)``."""
+    return sp.csr_array(M) if sp.issparse(M) else _sparse_if_monomial(np.asarray(M))
+
+
 def verify_integrability(
-    H: np.ndarray,
-    U: np.ndarray,
-    T: list[np.ndarray],
+    H,
+    U,
+    T: list,
     basis: TruncationBasis,
     A=None,
     commutator_tol: float = DEFAULT_COMMUTATOR_TOL,
@@ -241,17 +259,19 @@ def verify_integrability(
     the intertwining residual ‖UH − AU‖_F.  The commutators assume H and
     every T_i Hermitian, so their largest Hermiticity defect ‖X − X†‖_F is
     gated against the commutator tolerance too, and so is the intertwining
-    residual.  Monomial operands are multiplied as CSR arrays of the same
-    entries, any other operand densely.
+    residual.  Sparse operands are multiplied as they are, and dense
+    monomial operands as CSR arrays of the same entries; any other operand
+    is multiplied densely.
 
     Failures are reported in the certificate, never raised.
     """
-    H = np.asarray(H, dtype=complex)
+    if not sp.issparse(H):
+        H = np.asarray(H, dtype=complex)
     d = H.shape[0]
     if H.shape != (d, d) or U.shape != (d, d) or any(Ti.shape != (d, d) for Ti in T):
         raise InputError("all matrices must share the Hamiltonian's dimension")
-    Hop, Uop = _sparse_if_monomial(H), _sparse_if_monomial(np.asarray(U))
-    Tops = [_sparse_if_monomial(np.asarray(Ti)) for Ti in T]
+    Hop, Uop = _operand(H), _operand(U)
+    Tops = [_operand(Ti) for Ti in T]
 
     # the identity is built after U†U and freed with it, so no dense d×d
     # temporary lives on into the commutators below
@@ -300,14 +320,16 @@ def verify_integrability(
     )
 
 
-def certify(H: np.ndarray, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCertificate:
+def certify(H, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCertificate:
     """Full pipeline: synthesize A from ``seq``, intertwine, verify.
 
     ``seq`` defaults to the spectrum of H itself when given as None.  H is
     decomposed once, with no ``eigh`` when it is diagonal; its eigenpairs
-    serve both as the default ``seq`` and for the intertwiner.
+    serve both as the default ``seq`` and for the intertwiner.  A diagonal
+    H, dense or sparse, is held as CSR and gets a CSR permutation U and CSR
+    diagonal T_i; a sparse H that is not diagonal is made dense first.
     """
-    H = np.asarray(H, dtype=complex)
+    H = _hamiltonian(H)
     wH, VH = _eigenpairs(H)
     basis = TruncationBasis.build(n_modes, H.shape[0])
     a = _synthesized_diagonal(wH if seq is None else seq, basis)

@@ -8,14 +8,16 @@ discrete and box-truncation error negligible for the retained levels.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .errors import CapacityError, InputError
+from .fockspace import sparse_diagonal
 from .intertwiner import IntegrabilityCertificate, certify
 
 DEFAULT_DIM_CAP = 4096
@@ -120,9 +122,14 @@ class PotentialSpec:
 def load_potential_csv(path, grid: GridSpec) -> PotentialSpec:
     """Read a (x[,y],V) table whose rows match the grid nodes in row-major order."""
     try:
-        data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns of a table with no data rows, which is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
+    if data.size == 0:
+        raise InputError(f"{path}: the potential table has no data rows")
     expected_cols = grid.dimension + 1
     if data.shape[1] != expected_cols:
         raise InputError(
@@ -167,11 +174,19 @@ def build_fd_hamiltonian(
     return assemble_sparse(grid, pot).toarray()
 
 
+def _is_tridiagonal(H) -> bool:
+    """True when the sparse H has no nonzero entry beyond its first off-diagonals."""
+    H = H.tocoo()
+    return not np.any(H.data[np.abs(H.row - H.col) > 1])
+
+
 def low_spectrum(H, m: int) -> np.ndarray:
     """The m smallest eigenvalues of a Hermitian matrix, ascending.
 
-    Dense input uses a direct solver; large or sparse input uses
-    shift-invert Lanczos anchored below the spectrum.
+    Dense input uses a direct solver.  Sparse input uses shift-invert
+    Lanczos anchored below the spectrum, except for the whole spectrum,
+    which a sparse tridiagonal H (every 1-D grid) takes from the
+    tridiagonal solver and any other sparse H from the dense one.
     """
     m = int(m)
     dim = H.shape[0]
@@ -179,6 +194,12 @@ def low_spectrum(H, m: int) -> np.ndarray:
         raise InputError(f"level count {m} out of range 1..{dim}")
     if sp.issparse(H):
         if m == dim:
+            if _is_tridiagonal(H):
+                # a Hermitian tridiagonal matrix has the eigenvalues of the
+                # real one with off-diagonal |e|
+                e = H.diagonal(1)
+                e = np.abs(e) if np.iscomplexobj(e) else e
+                return eigvalsh_tridiagonal(H.diagonal().real, e)
             return np.sort(np.linalg.eigvalsh(H.toarray()))
         # Gershgorin lower bound keeps the shift strictly below the spectrum
         Habs = abs(H)
@@ -225,7 +246,6 @@ def certify_levels(levels, n_modes: int) -> IntegrabilityCertificate:
 
     In the eigenbasis of H that projection is H_proj = diag(levels), which
     ``certify`` intertwines with an isospectral diagonal operator on
-    ``n_modes`` modes without an eigendecomposition.
+    ``n_modes`` modes without an eigendecomposition, held as a CSR array.
     """
-    levels = np.sort(np.asarray(levels, dtype=float))
-    return certify(np.diag(levels.astype(complex)), None, n_modes)
+    return certify(sparse_diagonal(np.sort(np.asarray(levels, dtype=float))), None, n_modes)

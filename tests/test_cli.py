@@ -6,8 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spectralforge import cli, schrodinger, zeta
+from spectralforge.fockspace import matrix_to_json
 
 
 def run_report(argv, capsys):
@@ -401,3 +403,119 @@ def test_config_block_round_trips(tmp_path, capsys, zeros_file, argv):
     cfg.write_text(json.dumps(json.loads(from_flags)["config"]))
     assert cli.run([argv[0], "--config", str(cfg), "--no-timestamp"]) == code
     assert capsys.readouterr().out == from_flags
+
+
+def _one_error_line(captured, prefix="error: input:"):
+    lines = captured.err.splitlines()
+    return captured.out == "" and len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def test_synthesize_out_writes_sparse_form(tmp_path, capsys):
+    matrix = tmp_path / "op.json"
+    code, _ = run_report(["synthesize", "--set", "finite:0,1,2", "--count", "12",
+                          "--modes", "2", "--out", str(matrix), "--no-timestamp"], capsys)
+    assert code == 0
+    data = json.loads(matrix.read_text())
+    assert set(data) == {"dim", "rows", "cols", "re", "im"}
+    # the diagonal without its four zeros
+    assert data["dim"] == 12 and data["rows"] == data["cols"] and len(data["rows"]) == 8
+
+
+def test_zeta_synthesize_out_writes_sparse_form(zeros_file, tmp_path, capsys):
+    matrix = tmp_path / "zeros_op.json"
+    run_report(["zeta", "--zeros", zeros_file, "--synthesize-out", str(matrix)], capsys)
+    data = json.loads(matrix.read_text())
+    assert data["rows"] == data["cols"] and len(data["rows"]) == 40
+    assert sorted(data["re"]) == pytest.approx(np.loadtxt(zeros_file), abs=0)
+
+
+def _verify(path, capsys, modes="2"):
+    code, report = run_report(["verify", "--matrix", str(path), "--modes", modes,
+                               "--no-timestamp"], capsys)
+    return code, report["certificate"]
+
+
+def test_dense_form_file_still_verifies(tmp_path, capsys):
+    h = np.array([2.0, -1.0, 0.0, 3.5, 2.0, 7.0])
+    dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+    dense.write_text(matrix_to_json(np.diag(h)))
+    sparse.write_text(matrix_to_json(sp.csr_array(np.diag(h))))
+    code, cert = _verify(dense, capsys)
+    assert code == 0 and cert["passed"]
+    assert _verify(sparse, capsys) == (code, cert)
+
+
+def _sparse_hermitian(d, seed):
+    rng = np.random.default_rng(seed)
+    X = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (rng.uniform(size=(d, d)) < 0.3)
+    return X + X.conj().T
+
+
+def test_sparse_non_diagonal_matrix_matches_dense_form(tmp_path, capsys):
+    H = _sparse_hermitian(12, 3)
+    dense, sparse = tmp_path / "dense.json", tmp_path / "sparse.json"
+    dense.write_text(matrix_to_json(H))
+    sparse.write_text(matrix_to_json(sp.csr_array(H)))
+    assert "rows" in json.loads(sparse.read_text())
+    code, ref = _verify(dense, capsys)
+    assert code == 0 and ref["passed"]
+    got_code, got = _verify(sparse, capsys)
+    assert got_code == code and got.keys() == ref.keys()
+    for key, value in ref.items():
+        if isinstance(value, (bool, int)):
+            assert got[key] == value, key
+        else:
+            assert abs(got[key] - value) <= 1e-12, key
+
+
+def test_sparse_non_diagonal_matrix_above_cap_exit_3(tmp_path, capsys, monkeypatch):
+    sparse, diagonal = tmp_path / "sparse.json", tmp_path / "diagonal.json"
+    sparse.write_text(matrix_to_json(sp.csr_array(_sparse_hermitian(12, 4))))
+    diagonal.write_text(matrix_to_json(sp.csr_array(np.diag(np.arange(12.0)))))
+    monkeypatch.setenv(schrodinger.CAP_ENV_VAR, "11")
+    assert cli.run(["verify", "--matrix", str(sparse)]) == 3
+    assert _one_error_line(capsys.readouterr(), "error: capacity:")
+    # a diagonal H is certified in O(d), with no dense matrix to cap
+    assert _verify(diagonal, capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["zeta", "--compute", "0"], "--compute must be in 1..100"),
+        (["synthesize", "--set", "finite:0,1", "--count", "0"], "--count must be at least 1"),
+        (["stats", "--set", "interval:0:1", "--count", "-3"], "--count must be at least 1"),
+    ],
+    ids=["zeta_compute", "synthesize_count", "stats_count"],
+)
+def test_zero_count_is_range_checked_exit_2(capsys, argv, names):
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and names in captured.err
+
+
+def test_empty_potential_csv_one_stderr_line(tmp_path):
+    table = tmp_path / "empty.csv"
+    table.write_text("")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "spectralforge", "schrodinger", "--points",
+                           "16", "--potential", f"csv:{table}"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    # no numpy warning before the error line
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: input:")
+    assert "no data rows" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synthesize", "--set", "finite:0,1", "--count", "4", "--modes", "1.7"],
+     ["stats", "--set", "interval:0:1", "--count", "50", "--model", "goe"]],
+    ids=["modes_fraction", "unknown_model"],
+)
+def test_malformed_flag_value_exit_2_one_line(capsys, argv):
+    assert cli.run(argv) == 2
+    assert _one_error_line(capsys.readouterr())

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spectralforge import fockspace
 from spectralforge.errors import InputError
@@ -12,6 +13,7 @@ from spectralforge.fockspace import (
     matrix_from_json,
     matrix_to_json,
     number_operator,
+    sparse_diagonal,
     synthesize,
 )
 
@@ -169,5 +171,55 @@ def test_matrix_json_validation():
     ids=["not_json", "non_numeric_entry", "negative_dim", "nested_re"],
 )
 def test_matrix_from_json_rejects_malformed_payload(text):
+    with pytest.raises(InputError):
+        matrix_from_json(text)
+
+
+# sparse form {dim, rows, cols, re, im}: one list entry per nonzero
+
+def test_sparse_matrix_json_roundtrip_bit_exact():
+    values = np.array([-0.5, 5e-324, 1.0 / 3.0, 1e300, -2.5, 0.1, 1e-310, -1 / 7, 2.0])
+    rows = np.array([0, 0, 1, 2, 3, 3, 4, 5, 6])
+    cols = np.array([6, 1, 1, 0, 5, 3, 4, 2, 6])
+    M = sp.csr_array((values + 1j * values[::-1], (rows, cols)), shape=(7, 7))
+    text = matrix_to_json(M)
+    back = matrix_from_json(text)
+    assert sp.issparse(back) and back.format == "csr"
+    assert (back != M).nnz == 0
+    assert matrix_to_json(back) == text
+    data = json.loads(text)
+    assert set(data) == {"dim", "rows", "cols", "re", "im"}
+    # row-major, and every value as ".17g" prints it
+    assert list(zip(data["rows"], data["cols"])) == sorted(zip(rows.tolist(), cols.tolist()))
+    assert sorted(data["re"]) == sorted(float(f"{v:.17g}") for v in values)
+
+
+def test_sparse_matrix_json_holds_nonzeros_only():
+    data = json.loads(matrix_to_json(sparse_diagonal([0.0, 2.0, -1.0])))
+    assert data == {"dim": 3, "rows": [1, 2], "cols": [1, 2], "re": [2.0, -1.0], "im": [0.0, 0.0]}
+    assert np.array_equal(matrix_from_json(json.dumps(data)).toarray(), np.diag([0, 2.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 2, "rows": [0, 2], "cols": [0, 1], "re": [1, 1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, 1], "cols": [-1, 1], "re": [1, 1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, 1.0], "cols": [0, 1], "re": [1, 1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, "1"], "cols": [0, 1], "re": [1, 1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, true], "cols": [0, 1], "re": [1, 1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [1, 1], "cols": [0, 0], "re": [1, 2], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, 1], "cols": [0, 1], "re": [1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0], "cols": [0, 1], "re": [1], "im": [0]}',
+        '{"dim": 2, "rows": [0, 1], "cols": [0, 1], "re": [1, NaN], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, 1], "cols": [0, 1], "re": [1, 1], "im": [0, -Infinity]}',
+        '{"dim": 2, "rows": [0, 1], "re": [1, 1], "im": [0, 0]}',
+        '{"dim": 2, "rows": [0, 99999999999999999999], "cols": [0, 1], "re": [1, 1], "im": [0, 0]}',
+    ],
+    ids=["row_out_of_range", "negative_col", "float_index", "string_index", "bool_index",
+         "repeated_pair", "re_length", "cols_length", "nan_value", "infinite_value",
+         "no_cols", "huge_index"],
+)
+def test_sparse_matrix_json_rejects_malformed_payload(text):
     with pytest.raises(InputError):
         matrix_from_json(text)

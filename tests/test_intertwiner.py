@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import unitary_group
 
 from spectralforge import intertwiner
@@ -8,6 +11,7 @@ from spectralforge.fockspace import (
     TruncationBasis,
     eigendecompose,
     number_operator,
+    sparse_diagonal,
     synthesize,
 )
 from spectralforge.intertwiner import (
@@ -203,7 +207,7 @@ def test_passed_gates_intertwining_residual():
     cert = certify(H, None, 2)
     assert cert.passed
     basis = TruncationBasis.build(2, 8)
-    U = cert.U.copy()
+    U = cert.U.toarray()
     U[[0, 7]] = U[[7, 0]]  # still a permutation: unitary, and T still commutes
     bad = verify_integrability(H, U, first_integrals(U, basis), basis,
                                A=synthesize(np.arange(1.0, 9.0), basis))
@@ -283,18 +287,19 @@ def test_diagonal_certificate_matches_dense_reference(structured, monkeypatch):
     monkeypatch.setattr(intertwiner, "eigendecompose", no_eigh)
     cert = certify(H, None, 3)
     assert cert.passed
-    assert_matches_dense(cert, dense_certificate(H, cert.U, cert.T, A, basis))
+    assert_matches_dense(cert, dense_certificate(H, cert.U.toarray(),
+                                                 [Ti.toarray() for Ti in cert.T], A, basis))
     # U is a permutation and T_i = U† N_i U, computed densely here
-    assert np.array_equal(np.abs(cert.U).sum(axis=0), np.ones(STRUCTURED_D))
-    assert np.array_equal(np.abs(cert.U).sum(axis=1), np.ones(STRUCTURED_D))
+    assert np.array_equal(np.abs(cert.U.toarray()).sum(axis=0), np.ones(STRUCTURED_D))
+    assert np.array_equal(np.abs(cert.U.toarray()).sum(axis=1), np.ones(STRUCTURED_D))
     for i, Ti in enumerate(cert.T, start=1):
-        dense = cert.U.conj().T @ number_operator(basis, i) @ cert.U
-        assert np.abs(Ti - dense).max() <= 1e-12
+        dense = cert.U.toarray().conj().T @ number_operator(basis, i) @ cert.U.toarray()
+        assert np.abs(Ti.toarray() - dense).max() <= 1e-12
 
 
 def test_scaled_entry_of_monomial_unitary_fails(structured):
     H, A, basis = structured
-    U = certify(H, None, 3).U.copy()
+    U = certify(H, None, 3).U.toarray()
     j = np.flatnonzero(U[5])[0]
     U[5, j] *= 1 + 1e-3  # still monomial, no longer unitary
     cert = verify_integrability(H, U, first_integrals(U, basis), basis, A=A)
@@ -306,7 +311,7 @@ def test_scaled_entry_of_monomial_unitary_fails(structured):
 def test_off_diagonal_pair_in_first_integral_fails(structured):
     H, A, basis = structured
     good = certify(H, None, 3)
-    T = [Ti.copy() for Ti in good.T]
+    T = [Ti.toarray() for Ti in good.T]
     h = np.diag(H).real
     occupied = np.flatnonzero(np.diag(T[0]))
     i = occupied[0]
@@ -318,7 +323,7 @@ def test_off_diagonal_pair_in_first_integral_fails(structured):
     tol = cert.commutator_tol * (np.linalg.norm(H) + sum(np.linalg.norm(Ti) for Ti in T))
     assert cert.max_hamiltonian_commutator > tol
     assert not cert.passed
-    assert_matches_dense(cert, dense_certificate(H, good.U, T, A, basis))
+    assert_matches_dense(cert, dense_certificate(H, good.U.toarray(), T, A, basis))
 
 
 @pytest.mark.parametrize("entry", [np.nan, 1.0 + 1e-6j], ids=["nan", "non_hermitian"])
@@ -329,3 +334,44 @@ def test_diagonal_H_rejected_like_eigendecompose(entry):
         eigendecompose(H)
     with pytest.raises(InputError):
         certify(H, None, 2)
+
+
+def test_diagonal_csr_certificate_at_1e5_is_linear(monkeypatch):
+    def no_eigh(M):
+        raise AssertionError("a diagonal H must not be decomposed")
+
+    monkeypatch.setattr(intertwiner, "eigendecompose", no_eigh)
+    d = 10**5
+    h = np.random.default_rng(22).uniform(-5.0, 5.0, d)
+    start = time.perf_counter()
+    cert = certify(sparse_diagonal(h), None, 3)
+    assert time.perf_counter() - start < 10.0
+    assert cert.passed
+    assert cert.unitarity_defect == 0.0 and cert.intertwining_residual == 0.0
+    assert sp.issparse(cert.U) and cert.U.nnz == d
+    assert all(sp.issparse(Ti) and Ti.nnz <= d for Ti in cert.T)
+
+
+def test_sparse_and_dense_diagonal_H_certify_alike(structured):
+    H, A, basis = structured
+    dense, sparse = certify(H, None, 3), certify(sp.csr_array(H), None, 3)
+    assert dense.to_dict() == sparse.to_dict()
+    assert (dense.U != sparse.U).nnz == 0
+
+
+def test_build_unitary_kind_follows_H():
+    h = np.array([3.0, 1.0, 2.0])
+    U = build_unitary(np.diag(h), h)
+    assert isinstance(U, np.ndarray)
+    assert np.array_equal(U, build_unitary(sparse_diagonal(h), h).toarray())
+    assert np.array_equal(U @ np.diag(h), np.diag(h) @ U)
+
+
+def test_first_integrals_of_sparse_permutation_are_csr_diagonals():
+    basis = TruncationBasis.build(2, 10)
+    P = np.eye(10)[np.random.default_rng(5).permutation(10)]
+    for i, (Ti, ref) in enumerate(zip(first_integrals(sp.csr_array(P), basis),
+                                      first_integrals(P, basis)), start=1):
+        assert Ti.format == "csr" and isinstance(ref, np.ndarray)
+        assert np.array_equal(Ti.toarray(), ref)
+        assert np.array_equal(Ti.toarray(), np.diag(Ti.diagonal()))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spectralforge.errors import CapacityError, InputError
 from spectralforge.schrodinger import (
@@ -104,6 +105,28 @@ def test_low_spectrum_dense_and_sparse_agree():
     w_dense = low_spectrum(build_fd_hamiltonian(grid, pot), 6)
     w_sparse = low_spectrum(assemble_sparse(grid, pot), 6)
     assert np.allclose(w_dense, w_sparse, atol=1e-9)
+
+
+@pytest.mark.parametrize("m", [300, 12], ids=["whole_spectrum", "lowest_levels"])
+def test_low_spectrum_1d_matches_dense_eigvalsh(m, monkeypatch):
+    H = assemble_sparse(GridSpec(1, 10.0, 300), PotentialSpec.harmonic())
+    ref = np.linalg.eigvalsh(H.toarray())[:m]
+
+    def no_dense(M):
+        raise AssertionError("a tridiagonal H needs no dense solver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    w = low_spectrum(H, m)
+    assert w.shape == (m,)
+    assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_low_spectrum_complex_hermitian_tridiagonal():
+    rng = np.random.default_rng(6)
+    e = rng.normal(size=39) + 1j * rng.normal(size=39)
+    H = sp.diags([e.conj(), rng.normal(size=40), e], [-1, 0, 1], format="csr")
+    ref = np.linalg.eigvalsh(H.toarray())
+    assert np.abs(low_spectrum(H, 40) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_low_spectrum_range_check():
