@@ -21,9 +21,9 @@ for M in (200, 400, 800):
 print("\n-- 2D channel potential V = x^2 y^2 --")
 for M in (64, 96):
     grid = schrodinger.GridSpec(2, 8.0, M)
-    H = schrodinger.assemble_sparse(grid, schrodinger.PotentialSpec.quartic_cross())
-    w = schrodinger.low_spectrum(H, 3)
-    print(f"  M={M}  lowest levels: {np.round(w, 4)}")
+    # V is even in x and in y, so the levels come one parity sector at a time
+    w, sectors = schrodinger.grid_levels(grid, schrodinger.PotentialSpec.quartic_cross(), 3)
+    print(f"  M={M}  lowest levels: {np.round(w, 4)}  from sectors {sectors}")
 
 print("\n-- integrability certificates for the low-energy projections --")
 cert_1d = schrodinger.pipeline_integrate(

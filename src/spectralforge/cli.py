@@ -1,8 +1,9 @@
 """Command-line interface: synthesize | verify | stats | zeta | schrodinger | classical.
 
 Exit codes: 0 success/pass, 1 verification fail, 2 input error, 3 capacity
-error.  Reports are JSON with a schema_version field and embed the fully
-resolved configuration; --no-timestamp makes them byte-reproducible.
+error (over the dimension cap, or out of memory).  Reports are JSON with a
+schema_version field and embed the fully resolved configuration;
+--no-timestamp makes them byte-reproducible.
 
 Each option is one row of ``SUBCOMMANDS``.  The row builds the ``--flag``,
 supplies the default, and checks a config-file value with the flag's own
@@ -284,15 +285,15 @@ def _cmd_schrodinger(config: dict) -> tuple[dict, bool]:
             f"unknown potential {pot_name!r}; use harmonic, x2y2 or csv:PATH"
         )
     schrodinger.check_dimension(grid.size, config["cap"])
-    levels = schrodinger.low_spectrum(
-        schrodinger.assemble_sparse(grid, pot), config["levels"]
-    )
+    levels, sectors = schrodinger.grid_levels(grid, pot, config["levels"])
     if config["out"]:
         spectra.save_spectrum_text(levels, config["out"])
     payload = {
         "grid": {"dimension": grid.dimension, "half_width": grid.L, "points": grid.M},
         "levels": levels.tolist(),
     }
+    if sectors is not None:
+        payload["sectors"] = sectors
     if not config["pipeline"]:
         return payload, True
     cert = schrodinger.certify_levels(levels, config["modes"])
@@ -431,8 +432,9 @@ def run(argv=None) -> int:
         if not args.no_timestamp:
             report["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         _emit_report(report, config["report"])
-    except CapacityError as exc:
-        print(f"error: capacity: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        # numpy names the allocation it could not make; a bare MemoryError says nothing
+        print(f"error: capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAPACITY_ERROR
     except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)

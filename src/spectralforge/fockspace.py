@@ -1,4 +1,4 @@
-"""Truncated number/position/momentum operators and spectrum synthesis.
+"""Truncated number operators and spectrum synthesis.
 
 The truncation basis is the graded-lex prefix of multi-indices, so for any
 basis size d the synthesized Hamiltonian and all number operators are
@@ -80,26 +80,6 @@ def _number_diagonal(basis: TruncationBasis, mode: int) -> np.ndarray:
 def number_operator(basis: TruncationBasis, mode: int) -> np.ndarray:
     """Diagonal operator with entry I_mode at the basis position of I."""
     return np.diag(_number_diagonal(basis, mode).astype(complex))
-
-
-def ladder_xp(K: int) -> tuple[np.ndarray, np.ndarray]:
-    """K x K truncations of position and momentum in the ladder basis.
-
-    X[k, k+1] = X[k+1, k] = sqrt(k+1)/sqrt(2) and
-    P[k, k+1] = -i sqrt(k+1)/sqrt(2) = -conj(P[k+1, k]).
-    """
-    K = int(K)
-    if K < 2:
-        raise InputError("single-mode cutoff must be >= 2")
-    off = np.sqrt(np.arange(1, K)) / np.sqrt(2.0)
-    X = np.zeros((K, K), dtype=complex)
-    P = np.zeros((K, K), dtype=complex)
-    rows = np.arange(K - 1)
-    X[rows, rows + 1] = off
-    X[rows + 1, rows] = off
-    P[rows, rows + 1] = -1j * off
-    P[rows + 1, rows] = 1j * off
-    return X, P
 
 
 def _synthesized_diagonal(seq, basis: TruncationBasis) -> np.ndarray:

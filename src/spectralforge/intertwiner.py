@@ -290,9 +290,10 @@ def verify_integrability(
             max_pair = max(max_pair, _hermitian_commutator(Tops[i], Tops[j]))
     max_ham = max((_hermitian_commutator(Hop, Ti) for Ti in Tops), default=0.0)
 
-    # exact integer check: the quantum-number tuples must separate states
-    tuples = {tuple(int(v) for v in row) for row in basis.indices}
-    independence = len(tuples) == basis.d
+    # exact integer check: the quantum-number tuples must separate states;
+    # once the rows are sorted, a repeated tuple sits next to its twin
+    rows = basis.indices[np.lexsort(basis.indices.T)]
+    independence = not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
     scale = _frob(Hop) + sum(_frob(Ti) for Ti in Tops)
     bound = commutator_tol * max(1.0, scale)

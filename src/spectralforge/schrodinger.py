@@ -3,6 +3,8 @@
 Second-order central differences on a uniform grid over [-L, L]^dim with
 homogeneous Dirichlet walls.  Confining potentials keep the low spectrum
 discrete and box-truncation error negligible for the retained levels.
+The grid is exactly mirror-symmetric, so a 2-D potential that is even in
+x and in y is solved one parity sector at a time (``grid_levels``).
 """
 
 from __future__ import annotations
@@ -73,7 +75,9 @@ class GridSpec:
         return self.M**self.dimension
 
     def axis_nodes(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(1, self.M + 1)
+        """The M interior nodes -L + h j, j = 1..M, written about the centre so
+        that they are exactly antisymmetric, with x = 0 exactly when M is odd."""
+        return self.h * (np.arange(1, self.M + 1) - (self.M + 1) / 2)
 
 
 @dataclass(frozen=True)
@@ -155,23 +159,39 @@ def _laplacian_1d(M: int, h: float) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
+def _parity_laplacian(M: int, h: float, odd: bool) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The 1-D Laplacian on the even or odd functions of the symmetric M-node grid.
+
+    Its basis is orthonormal: the centre node when M is odd, and the
+    normalised mirror pairs (e_j +- e_mirror(j)) / sqrt(2).  Returns the
+    matrix and the indices of the nodes x >= 0 that label its basis.
+    """
+    # an odd function vanishes on the centre node of an odd grid
+    nodes = np.arange(M // 2 + (M % 2 == 1 and odd), M)
+    main = np.full(nodes.size, 2.0)
+    off = np.full(nodes.size - 1, -1.0)
+    if M % 2 == 0:
+        # the mirror partner of the first node is its neighbour across x = 0
+        main[0] = 3.0 if odd else 1.0
+    elif not odd:
+        # the centre node couples to the normalised pair of its two neighbours
+        off[0] = -np.sqrt(2.0)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2, nodes
+
+
+def _kron_sum(Tx, Ty, v) -> sp.csr_matrix:
+    """Tx (x) I + I (x) Ty + diag(v): -Laplacian + V on a product of two axes."""
+    ex = sp.identity(Tx.shape[0], format="csr")
+    ey = sp.identity(Ty.shape[0], format="csr")
+    return (sp.kron(Tx, ey) + sp.kron(ex, Ty) + sp.diags(v)).tocsr()
+
+
 def assemble_sparse(grid: GridSpec, pot: PotentialSpec) -> sp.csr_matrix:
     """Sparse real-symmetric FD Hamiltonian; no size cap applies."""
     T = _laplacian_1d(grid.M, grid.h)
     if grid.dimension == 1:
-        H = T + sp.diags(pot.on_grid(grid))
-    else:
-        eye = sp.identity(grid.M, format="csr")
-        H = sp.kron(T, eye) + sp.kron(eye, T) + sp.diags(pot.on_grid(grid))
-    return H.tocsr()
-
-
-def build_fd_hamiltonian(
-    grid: GridSpec, pot: PotentialSpec, cap: int | None = None
-) -> np.ndarray:
-    """Dense FD Hamiltonian, refused above the dimension cap."""
-    check_dimension(grid.size, cap)
-    return assemble_sparse(grid, pot).toarray()
+        return (T + sp.diags(pot.on_grid(grid))).tocsr()
+    return _kron_sum(T, T, pot.on_grid(grid))
 
 
 def _is_tridiagonal(H) -> bool:
@@ -180,26 +200,35 @@ def _is_tridiagonal(H) -> bool:
     return not np.any(H.data[np.abs(H.row - H.col) > 1])
 
 
+def _check_level_count(m: int, dim: int) -> None:
+    if not 1 <= m <= dim:
+        raise InputError(f"level count {m} out of range 1..{dim}")
+
+
 def low_spectrum(H, m: int) -> np.ndarray:
     """The m smallest eigenvalues of a Hermitian matrix, ascending.
 
-    Dense input uses a direct solver.  Sparse input uses shift-invert
-    Lanczos anchored below the spectrum, except for the whole spectrum,
-    which a sparse tridiagonal H (every 1-D grid) takes from the
-    tridiagonal solver and any other sparse H from the dense one.
+    Dense input uses a direct solver.  A sparse tridiagonal H (every 1-D
+    grid) uses the tridiagonal solver: MRRR for the whole spectrum and
+    bisection for fewer levels.  Any other sparse H uses shift-invert
+    Lanczos anchored below the spectrum, or the dense solver for the
+    whole spectrum.
     """
     m = int(m)
     dim = H.shape[0]
-    if not 1 <= m <= dim:
-        raise InputError(f"level count {m} out of range 1..{dim}")
+    _check_level_count(m, dim)
     if sp.issparse(H):
-        if m == dim:
-            if _is_tridiagonal(H):
-                # a Hermitian tridiagonal matrix has the eigenvalues of the
-                # real one with off-diagonal |e|
-                e = H.diagonal(1)
-                e = np.abs(e) if np.iscomplexobj(e) else e
+        if _is_tridiagonal(H):
+            # a Hermitian tridiagonal matrix has the eigenvalues of the
+            # real one with off-diagonal |e|
+            e = H.diagonal(1)
+            e = np.abs(e) if np.iscomplexobj(e) else e
+            if m == dim:
                 return eigvalsh_tridiagonal(H.diagonal().real, e)
+            return eigvalsh_tridiagonal(
+                H.diagonal().real, e, select="i", select_range=(0, m - 1)
+            )
+        if m == dim:
             return np.sort(np.linalg.eigvalsh(H.toarray()))
         # Gershgorin lower bound keeps the shift strictly below the spectrum
         Habs = abs(H)
@@ -225,6 +254,63 @@ def low_spectrum(H, m: int) -> np.ndarray:
     return np.sort(w)
 
 
+SECTORS = ("even,even", "even,odd", "odd,even", "odd,odd")  # parity in x, then in y
+
+
+def grid_levels(grid: GridSpec, pot: PotentialSpec, m: int) -> tuple[np.ndarray, dict | None]:
+    """The m lowest levels of the FD Hamiltonian, and the levels each parity sector gave.
+
+    A 2-D potential that equals its x-mirror and its y-mirror exactly
+    commutes with both reflections, so H splits into the four sectors of
+    ``SECTORS``, each about a quarter of the grid, solved one at a time.
+    Any other grid is solved whole and its sector map is None.
+    """
+    m = int(m)
+    _check_level_count(m, grid.size)
+    if grid.dimension == 2:
+        V = pot.on_grid(grid).reshape(grid.M, grid.M)
+        if np.array_equal(V, V[::-1]) and np.array_equal(V, V[:, ::-1]):
+            return _sector_levels(grid, V, m)
+    return low_spectrum(assemble_sparse(grid, pot), m), None
+
+
+_FIRST_SECTOR_SHARE = 2  # each sector first solves for ceil(m / this) levels
+
+
+def _sector_levels(grid: GridSpec, V: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
+    """The m lowest levels of -Laplacian + V, V symmetric under x -> -x and y -> -y."""
+    # with V = V^T the swap x <-> y maps (even, odd) onto (odd, even)
+    source = {label: label for label in SECTORS}
+    if np.array_equal(V, V.T):
+        source["odd,even"] = "even,odd"
+    solved = list(dict.fromkeys(source.values()))
+    axis = {odd: _parity_laplacian(grid.M, grid.h, odd) for odd in (False, True)}
+    ops = {}
+    for s in solved:
+        (Tx, ix), (Ty, iy) = (axis[p == "odd"] for p in s.split(","))
+        ops[s] = _kron_sum(Tx, Ty, V[np.ix_(ix, iy)].ravel())
+    count = {s: min(ops[s].shape[0], -(-m // _FIRST_SECTOR_SHARE)) for s in solved}
+    levels = {}
+    pending = solved
+    while pending:
+        for s in pending:
+            levels[s] = low_spectrum(ops[s], count[s])
+        values = np.concatenate([levels[source[label]] for label in SECTORS])
+        order = np.argsort(values, kind="stable")
+        cutoff = values[order[m - 1]] if values.size >= m else np.inf
+        # a sector is complete when solved whole or when its top computed
+        # level is at or above the m-th level of the union
+        pending = [
+            s for s in solved if count[s] < ops[s].shape[0] and levels[s][-1] < cutoff
+        ]
+        for s in pending:
+            count[s] = min(2 * count[s], ops[s].shape[0])
+    sizes = [levels[source[label]].size for label in SECTORS]
+    given = np.bincount(np.repeat(np.arange(len(SECTORS)), sizes)[order[:m]],
+                        minlength=len(SECTORS))
+    return values[order[:m]], {label: int(n) for label, n in zip(SECTORS, given)}
+
+
 def pipeline_integrate(
     grid: GridSpec,
     pot: PotentialSpec,
@@ -238,7 +324,7 @@ def pipeline_integrate(
     their projection with ``certify_levels``.
     """
     check_dimension(m, cap, "projected dimension", "request fewer levels")
-    return certify_levels(low_spectrum(assemble_sparse(grid, pot), m), n_modes)
+    return certify_levels(grid_levels(grid, pot, m)[0], n_modes)
 
 
 def certify_levels(levels, n_modes: int) -> IntegrabilityCertificate:

@@ -1,4 +1,4 @@
-"""Spectrum sequences, multiplicities, isospectrality and dense subsets.
+"""Spectrum sequences, isospectrality and dense subsets.
 
 A spectrum sequence is a finite 1-D float array of energies; repeated
 values are meaningful and encode eigenvalue multiplicity.
@@ -6,8 +6,6 @@ values are meaningful and encode eigenvalue multiplicity.
 
 from __future__ import annotations
 
-import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,12 +36,6 @@ def default_tolerance(*spectra) -> float:
         if arr.size:
             spread = max(spread, float(arr.max() - arr.min()))
     return 1e-9 * spread
-
-
-def multiplicities(seq) -> dict[float, int]:
-    """Occurrence count of each distinct value (exact float comparison)."""
-    arr = as_spectrum(seq)
-    return dict(Counter(arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -226,14 +218,3 @@ def load_spectrum_text(path) -> np.ndarray:
     if not values:
         raise InputError(f"{path}: no spectrum values found")
     return as_spectrum(values)
-
-
-def spectrum_to_json(seq) -> str:
-    return json.dumps(as_spectrum(seq).tolist())
-
-
-def spectrum_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise InputError("spectrum JSON must be an array")
-    return as_spectrum(data)

@@ -519,3 +519,53 @@ def test_empty_potential_csv_one_stderr_line(tmp_path):
 def test_malformed_flag_value_exit_2_one_line(capsys, argv):
     assert cli.run(argv) == 2
     assert _one_error_line(capsys.readouterr())
+
+
+def _potential_csv(path, grid, potential):
+    """A csv: table of ``potential(x, y)`` on the grid's nodes, in row-major order."""
+    x = grid.axis_nodes()
+    X, Y = np.repeat(x, grid.M), np.tile(x, grid.M)
+    rows = zip(X.tolist(), Y.tolist(), potential(X, Y).tolist())
+    path.write_text("".join(f"{a!r},{b!r},{v!r}\n" for a, b, v in rows))
+    return f"csv:{path}"
+
+
+@pytest.mark.parametrize(
+    "potential, symmetric",
+    [(lambda x, y: (x**2) ** 2 + 0.5 * y**2, True), (lambda x, y: (x - 1.0) ** 2 + y**2, False)],
+    ids=["mirror_symmetric", "asymmetric"],
+)
+def test_schrodinger_csv_table_sectors(tmp_path, capsys, potential, symmetric):
+    grid = schrodinger.GridSpec(2, 6.0, 24)
+    table = _potential_csv(tmp_path / "v.csv", grid, potential)
+    argv = ["schrodinger", "--dimension", "2", "--half-width", "6", "--points", "24",
+            "--levels", "12", "--potential", table, "--no-timestamp"]
+    code, report = run_report(argv, capsys)
+    assert code == 0
+    pot = schrodinger.load_potential_csv(table[4:], grid)
+    ref = schrodinger.low_spectrum(schrodinger.assemble_sparse(grid, pot), 12)
+    assert np.abs(np.array(report["levels"]) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert ("sectors" in report) == symmetric
+    if symmetric:
+        assert list(report["sectors"]) == list(schrodinger.SECTORS)
+        assert sum(report["sectors"].values()) == 12
+
+
+@pytest.mark.parametrize(
+    "error, names",
+    [(MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000001,) "
+                  "and data type int64"), "72.8 TiB"),
+     (MemoryError(), "out of memory")],
+    ids=["numpy_message", "bare"],
+)
+def test_allocation_failure_exit_3_one_line(tmp_path, capsys, monkeypatch, error, names):
+    matrix = tmp_path / "huge.json"
+    matrix.write_text('{"dim": 10000000000000, "rows": [], "cols": [], "re": [], "im": []}')
+
+    def unable_to_allocate(text):
+        raise error
+
+    monkeypatch.setattr(cli, "matrix_from_json", unable_to_allocate)
+    assert cli.run(["verify", "--matrix", str(matrix)]) == 3
+    captured = capsys.readouterr()
+    assert _one_error_line(captured, "error: capacity:") and names in captured.err

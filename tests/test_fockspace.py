@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from spectralforge import fockspace
 from spectralforge.errors import InputError
 from spectralforge.fockspace import (
     TruncationBasis,
     eigendecompose,
-    ladder_xp,
     matrix_from_json,
     matrix_to_json,
     number_operator,
@@ -40,40 +38,6 @@ def test_number_operators_commute_exactly():
     for Ni in ops:
         for Nj in ops:
             assert np.abs(Ni @ Nj - Nj @ Ni).max() == 0.0
-
-
-def test_ladder_xp_small_cases():
-    X, P = ladder_xp(2)
-    s = 1 / np.sqrt(2)
-    assert np.allclose(X, [[0, s], [s, 0]])
-    assert np.allclose(P, [[0, -1j * s], [1j * s, 0]])
-    X3, P3 = ladder_xp(3)
-    assert np.allclose(X3 @ X3 + P3 @ P3, np.diag([1.0, 3.0, 2.0]))
-
-
-def test_ladder_truncation_defect_location():
-    # (X^2 + P^2 - 1)/2 matches the number operator except on the top state
-    K = 12
-    X, P = ladder_xp(K)
-    N = (X @ X + P @ P - np.eye(K)) / 2
-    diag = np.diag(N).real
-    assert np.allclose(diag[: K - 1], np.arange(K - 1))
-    assert diag[K - 1] == pytest.approx((K - 1) / 2 - 1 / 2)  # missing a a† term
-    assert np.abs(N - np.diag(diag)).max() < 1e-12
-
-
-def test_ladder_equals_aadag_plus_adaga():
-    K = 8
-    X, P = ladder_xp(K)
-    a = np.diag(np.sqrt(np.arange(1, K)), k=1).astype(complex)
-    assert np.allclose(X @ X + P @ P, a @ a.conj().T + a.conj().T @ a)
-
-
-def test_ladder_hermitian_and_k_validation():
-    X, P = ladder_xp(5)
-    assert fockspace.is_hermitian(X) and fockspace.is_hermitian(P)
-    with pytest.raises(InputError):
-        ladder_xp(1)
 
 
 def test_synthesize_examples():

@@ -105,6 +105,24 @@ def test_verify_with_degenerate_levels():
     assert cert.independence
 
 
+def test_repeated_multi_index_fails_independence():
+    rng = np.random.default_rng(9)
+    for d, n in ((6, 2), (40, 3), (40, 1)):
+        for repeat in (False, True):
+            idx = TruncationBasis.build(n, d).indices.copy()
+            if repeat:
+                idx[-1] = idx[0]
+            idx = idx[rng.permutation(d)]
+            basis = TruncationBasis(n=n, d=d, indices=idx)
+            U = np.eye(d, dtype=complex)
+            cert = verify_integrability(np.diag(np.arange(d, dtype=float)), U,
+                                        first_integrals(U, basis), basis)
+            # the Python-set reference for injectivity of the joint spectrum
+            assert cert.independence is (len({tuple(row) for row in idx.tolist()}) == d)
+            assert cert.independence is not repeat
+            assert cert.passed is not repeat
+
+
 def test_certify_random_100():
     rng = np.random.default_rng(4)
     seq = np.sort(rng.uniform(0, 10, 100))

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from spectralforge import schrodinger
 
 from spectralforge.errors import CapacityError, InputError
 from spectralforge.schrodinger import (
     GridSpec,
     PotentialSpec,
     assemble_sparse,
-    build_fd_hamiltonian,
     certify_levels,
+    check_dimension,
+    grid_levels,
     load_potential_csv,
     low_spectrum,
     pipeline_integrate,
@@ -18,7 +22,7 @@ from spectralforge.schrodinger import (
 def test_fd_laplacian_structure_1d():
     grid = GridSpec(1, 8.5, 16)  # h = 1
     assert grid.h == pytest.approx(1.0)
-    H = build_fd_hamiltonian(grid, PotentialSpec.from_table(np.zeros(16)))
+    H = assemble_sparse(grid, PotentialSpec.from_table(np.zeros(16))).toarray()
     assert np.allclose(np.diag(H), 2.0)
     assert np.allclose(np.diag(H, 1), -1.0)
     assert np.allclose(np.diag(H, -1), -1.0)
@@ -28,8 +32,8 @@ def test_fd_laplacian_structure_1d():
 
 def test_fd_harmonic_shifts_diagonal():
     grid = GridSpec(1, 5.0, 20)
-    free = build_fd_hamiltonian(grid, PotentialSpec.from_table(np.zeros(20)))
-    harm = build_fd_hamiltonian(grid, PotentialSpec.harmonic())
+    free = assemble_sparse(grid, PotentialSpec.from_table(np.zeros(20))).toarray()
+    harm = assemble_sparse(grid, PotentialSpec.harmonic()).toarray()
     assert np.allclose(harm - free, np.diag(grid.axis_nodes() ** 2))
 
 
@@ -45,14 +49,14 @@ def test_fd_kronecker_sum_sparsity_2d():
 
 def test_fd_symmetry_exact():
     grid = GridSpec(2, 6.0, 20)
-    H = build_fd_hamiltonian(grid, PotentialSpec.harmonic())
+    H = assemble_sparse(grid, PotentialSpec.harmonic()).toarray()
     assert np.array_equal(H, H.T)
 
 
 def test_dimension_cap(monkeypatch):
     grid = GridSpec(2, 8.0, 96)
     with pytest.raises(CapacityError, match="coarser"):
-        build_fd_hamiltonian(grid, PotentialSpec.quartic_cross())
+        check_dimension(grid.size)
     monkeypatch.setenv("SPECTRAL_FORGE_CAP", "10000")
     H = assemble_sparse(grid, PotentialSpec.quartic_cross())
     assert H.shape == (9216, 9216)
@@ -62,7 +66,7 @@ def test_free_particle_box_levels():
     # Dirichlet Laplacian on [0, pi] has levels k^2; our box is [-L, L]
     L = np.pi / 2
     grid = GridSpec(1, L, 400)
-    H = build_fd_hamiltonian(grid, PotentialSpec.from_table(np.zeros(400)))
+    H = assemble_sparse(grid, PotentialSpec.from_table(np.zeros(400))).toarray()
     w = low_spectrum(H, 2)
     assert np.allclose(w, [1.0, 4.0], atol=1e-4)
 
@@ -83,7 +87,7 @@ def test_harmonic_levels_and_h2_convergence():
 def test_gershgorin_lower_bound():
     grid = GridSpec(1, 6.0, 64)
     pot = PotentialSpec.harmonic()
-    H = build_fd_hamiltonian(grid, pot)
+    H = assemble_sparse(grid, pot).toarray()
     w = low_spectrum(H, 1)
     assert w[0] >= pot.on_grid(grid).min() - 1e-10
 
@@ -102,7 +106,7 @@ def test_quartic_cross_stable_under_refinement():
 def test_low_spectrum_dense_and_sparse_agree():
     grid = GridSpec(1, 10.0, 200)
     pot = PotentialSpec.harmonic()
-    w_dense = low_spectrum(build_fd_hamiltonian(grid, pot), 6)
+    w_dense = low_spectrum(assemble_sparse(grid, pot).toarray(), 6)
     w_sparse = low_spectrum(assemble_sparse(grid, pot), 6)
     assert np.allclose(w_dense, w_sparse, atol=1e-9)
 
@@ -112,10 +116,11 @@ def test_low_spectrum_1d_matches_dense_eigvalsh(m, monkeypatch):
     H = assemble_sparse(GridSpec(1, 10.0, 300), PotentialSpec.harmonic())
     ref = np.linalg.eigvalsh(H.toarray())[:m]
 
-    def no_dense(M):
-        raise AssertionError("a tridiagonal H needs no dense solver")
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a tridiagonal H needs neither the dense solver nor Lanczos")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    monkeypatch.setattr(spla, "eigsh", no_dense)
     w = low_spectrum(H, m)
     assert w.shape == (m,)
     assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -130,7 +135,7 @@ def test_low_spectrum_complex_hermitian_tridiagonal():
 
 
 def test_low_spectrum_range_check():
-    H = build_fd_hamiltonian(GridSpec(1, 5.0, 16), PotentialSpec.harmonic())
+    H = assemble_sparse(GridSpec(1, 5.0, 16), PotentialSpec.harmonic()).toarray()
     with pytest.raises(InputError):
         low_spectrum(H, 17)
 
@@ -189,3 +194,84 @@ def test_certify_levels_matches_pipeline():
     cert = certify_levels(levels, 2)
     assert cert.passed
     assert cert.to_dict() == pipeline_integrate(grid, pot, 2, 15).to_dict()
+
+
+def _full_grid_levels(grid, pot, m):
+    return low_spectrum(assemble_sparse(grid, pot), m)
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("M", [64, 65])
+@pytest.mark.parametrize("pot", [PotentialSpec.quartic_cross(), PotentialSpec.harmonic()],
+                         ids=["x2y2", "harmonic"])
+def test_sector_levels_match_full_grid(pot, M):
+    grid = GridSpec(2, 8.0, M)
+    levels, sectors = grid_levels(grid, pot, 30)
+    _assert_close(levels, _full_grid_levels(grid, pot, 30))
+    assert list(sectors) == list(schrodinger.SECTORS)
+    assert sum(sectors.values()) == 30
+    # the swap x <-> y makes (even, odd) and (odd, even) one spectrum
+    assert abs(sectors["even,odd"] - sectors["odd,even"]) <= 1
+
+
+@pytest.mark.parametrize("M", [16, 17, 24, 25])
+def test_axis_nodes_exactly_antisymmetric(M):
+    grid = GridSpec(2, 10.0, M)
+    x = grid.axis_nodes()
+    assert np.array_equal(x, -x[::-1])
+    assert (x[M // 2] == 0.0) == (M % 2 == 1)
+    assert np.abs(x - (-grid.L + grid.h * np.arange(1, M + 1))).max() <= 1e-13 * grid.h
+    V = PotentialSpec.quartic_cross().on_grid(grid).reshape(M, M)
+    assert np.array_equal(V, V[::-1]) and np.array_equal(V, V[:, ::-1])
+    assert np.array_equal(V, V.T)
+
+
+def _counted_solves(monkeypatch):
+    calls = []
+    solve = schrodinger.low_spectrum
+
+    def counted(H, m):
+        calls.append((H.shape[0], m))
+        return solve(H, m)
+
+    monkeypatch.setattr(schrodinger, "low_spectrum", counted)
+    return calls
+
+
+def test_x2y2_solves_three_quarter_grid_sectors(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    grid_levels(GridSpec(2, 8.0, 64), PotentialSpec.quartic_cross(), 20)
+    assert calls == [(32 * 32, 10)] * 3
+
+
+def test_sector_retry_until_complete(monkeypatch):
+    grid, pot = GridSpec(2, 8.0, 33), PotentialSpec.quartic_cross()
+    ref = _full_grid_levels(grid, pot, 25)
+    calls = _counted_solves(monkeypatch)
+    # every sector starts from one level and doubles until it is complete
+    monkeypatch.setattr(schrodinger, "_FIRST_SECTOR_SHARE", 10**6)
+    levels, sectors = grid_levels(grid, pot, 25)
+    _assert_close(levels, ref)
+    assert sum(sectors.values()) == 25
+    assert len(calls) > 3 and [m for _, m in calls[:3]] == [1, 1, 1]
+
+
+def test_asymmetric_2d_potential_solves_full_grid(monkeypatch):
+    grid = GridSpec(2, 8.0, 20)
+    x = grid.axis_nodes()
+    pot = PotentialSpec.from_table(((x[:, None] - 1.0) ** 2 + x[None, :] ** 2).ravel())
+    calls = _counted_solves(monkeypatch)
+    levels, sectors = grid_levels(grid, pot, 6)
+    assert sectors is None and calls == [(400, 6)]
+    _assert_close(levels, _full_grid_levels(grid, pot, 6))
+
+
+def test_grid_levels_range_check():
+    with pytest.raises(InputError, match="out of range 1..256"):
+        grid_levels(GridSpec(2, 8.0, 16), PotentialSpec.harmonic(), 257)
+    with pytest.raises(InputError, match="out of range"):
+        grid_levels(GridSpec(2, 8.0, 16), PotentialSpec.harmonic(), 0)

@@ -1,23 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from spectralforge import spectra
 from spectralforge.errors import InputError
-
-
-def test_multiplicities_examples():
-    assert spectra.multiplicities([5.0, 7.0, 7.0]) == {5.0: 1, 7.0: 2}
-    assert spectra.multiplicities([0.0, 0.0, 0.0]) == {0.0: 3}
-    assert spectra.multiplicities([1.0, 2.0, 3.0]) == {1.0: 1, 2.0: 1, 3.0: 1}
-
-
-def test_multiplicity_counts_sum_to_length():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        seq = rng.integers(0, 5, size=rng.integers(1, 50)).astype(float)
-        assert sum(spectra.multiplicities(seq).values()) == seq.size
 
 
 def test_isospectral_examples():
@@ -112,13 +97,6 @@ def test_text_load_reports_bad_line(tmp_path):
     path.write_text("1.0\nnot-a-number\n")
     with pytest.raises(InputError, match="line 2"):
         spectra.load_spectrum_text(path)
-
-
-def test_json_serialization_roundtrip():
-    seq = np.array([1.0, -2.25, 3.141592653589793, 1e-300])
-    back = spectra.spectrum_from_json(spectra.spectrum_to_json(seq))
-    assert np.array_equal(back, seq)
-    assert isinstance(json.loads(spectra.spectrum_to_json(seq)), list)
 
 
 def test_nonfinite_rejected():
