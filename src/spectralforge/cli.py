@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import classical, levelstats, schrodinger, spectra, zeta
 from .errors import CapacityError, InputError
 from .fockspace import (
     TruncationBasis,
     _synthesized_diagonal,
-    is_diagonal,
+    check_dimension,
     matrix_from_json,
     matrix_to_json,
     sparse_diagonal,
@@ -221,9 +220,6 @@ def _cmd_verify(config: dict) -> tuple[dict, bool]:
             H = matrix_from_json(fh.read())
     except FileNotFoundError:
         raise InputError(f"matrix file not found: {config['matrix']}")
-    if sp.issparse(H) and not is_diagonal(H):
-        # certify decomposes a matrix that is not diagonal densely
-        schrodinger.check_dimension(H.shape[0], remedy="give a smaller matrix")
     cert = certify(H, None, config["modes"], tol=config["tol"])
     return {"certificate": cert.to_dict()}, cert.passed
 
@@ -284,7 +280,7 @@ def _cmd_schrodinger(config: dict) -> tuple[dict, bool]:
         raise InputError(
             f"unknown potential {pot_name!r}; use harmonic, x2y2 or csv:PATH"
         )
-    schrodinger.check_dimension(grid.size, config["cap"])
+    check_dimension(grid.size, config["cap"])
     levels, sectors = schrodinger.grid_levels(grid, pot, config["levels"])
     if config["out"]:
         spectra.save_spectrum_text(levels, config["out"])

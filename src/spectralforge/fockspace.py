@@ -15,16 +15,19 @@ the nonzero entries only.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import pairing
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .spectra import as_spectrum
 
 HERMITICITY_RTOL = 1e-10
+DEFAULT_DIM_CAP = 4096
+CAP_ENV_VAR = "SPECTRAL_FORGE_CAP"
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,9 @@ def _synthesized_diagonal(seq, basis: TruncationBasis) -> np.ndarray:
         raise InputError(
             f"need at least {basis.d} energies, got {arr.size}"
         )
-    return arr[pairing.encode_many(basis.indices)]
+    # basis row k is decode(k, n), so position k has rank k; no caller writes
+    # to this view of seq
+    return arr[: basis.d]
 
 
 def synthesize(seq, basis: TruncationBasis) -> np.ndarray:
@@ -108,6 +113,29 @@ def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh(M)
     return w, V
+
+
+def dimension_cap() -> int:
+    raw = os.environ.get(CAP_ENV_VAR)
+    if raw is None:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InputError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    if cap < 1:
+        raise InputError(f"{CAP_ENV_VAR} must be positive")
+    return cap
+
+
+def check_dimension(
+    size: int, cap: int | None = None, what: str = "matrix dimension",
+    remedy: str = "use a coarser grid",
+) -> None:
+    """Refuse ``size`` above ``cap``, which defaults to ``dimension_cap()``."""
+    cap = dimension_cap() if cap is None else int(cap)
+    if size > cap:
+        raise CapacityError(f"{what} {size} exceeds cap {cap}; {remedy} or raise the cap")
 
 
 # ---------------------------------------------------------------------------

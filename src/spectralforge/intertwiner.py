@@ -7,21 +7,21 @@ produces a commuting family whose joint eigenvalue tuples separate basis
 states.
 
 A is held as the 1-D array of its diagonal.  Its eigenvectors are basis
-vectors, so U is a row permutation of V_H^dagger read off an ``argsort``
-of that diagonal.  The one O(d^3) decomposition per certificate is
-``eigh(H)``, and only for a general H.  An exactly diagonal H, dense or
-sparse, is ordered by an ``argsort`` of its diagonal instead: U is then a
-CSR permutation, every T_i a CSR diagonal, and a certificate costs O(d).
+vectors, so U = V_H^dagger with its rows permuted by an ``argsort`` of that
+diagonal, one expression for either kind of V_H.  The one O(d^3)
+decomposition per certificate is ``eigh(H)``, and only for a general H.
+An exactly diagonal H, dense or sparse, is ordered by an ``argsort`` of
+its diagonal instead: V_H and U are then sparse permutations, every T_i a
+CSR diagonal, and a certificate costs O(d).  A sparse H that is not
+diagonal is made dense, within the dimension cap.
 
 Verification measures in the original frame from H, U, T and the diagonal
-of A only.  A sparse operand is multiplied as it is, and so is a dense
-operand that is monomial (at most one nonzero per row and per column: a
-diagonal or a scaled permutation), as a CSR array holding every entry
-passed in; any other operand goes through dense BLAS.  The
-commutator of Hermitian X and Y is evaluated as XY - (XY)^dagger, so
-verification also measures the Hermiticity defect of H and of every T_i,
-and gates it in ``passed`` together with the commutators and, when A is
-given, the intertwining residual.
+of A only.  It multiplies each operand in the kind it is given: a sparse
+one as CSR, a dense one through BLAS.  The commutator of Hermitian X and
+Y is evaluated as XY - (XY)^dagger, so verification also measures the
+Hermiticity defect of H and of every T_i, and gates it in ``passed``
+together with the commutators and, when A is given, the intertwining
+residual.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .fockspace import (
     TruncationBasis,
     _number_diagonal,
     _synthesized_diagonal,
+    check_dimension,
     eigendecompose,
     is_diagonal,
 )
@@ -85,48 +86,35 @@ def _hamiltonian(H):
         if H.ndim != 2 or not is_diagonal(H):
             return H
     elif not is_diagonal(H):
+        # the one place a sparse H is made dense, so the cap is checked here
+        check_dimension(H.shape[0], remedy="give a smaller matrix")
         return np.asarray(H.toarray(), dtype=complex)
     return sp.csr_array(H, dtype=complex)
 
 
-def _eigenpairs(H) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of H as ``_hamiltonian`` gives it.
+def _eigenpairs(H):
+    """Ascending eigenvalues and eigenvector columns V_H of H as ``_hamiltonian`` gives it.
 
-    A dense H gives its eigenvector columns V_H from ``eigh``.  A CSR H is
-    diagonal and needs no ``eigh``: it gives the stable ``argsort`` of its
-    diagonal instead, and its k-th eigenvector is basis vector ``order[k]``.
+    A dense H gives a dense V_H from ``eigh``.  A CSR H is diagonal and
+    needs no ``eigh``: V_H is the sparse permutation whose column k is the
+    basis vector e_order[k], ``order`` the stable ``argsort`` of the
+    diagonal.  It is held as CSC, so V_H^dagger is CSR.
     """
     if not sp.issparse(H):
         return eigendecompose(H)
     h = _diagonal(H, "H")
     order = np.argsort(h, kind="stable")
-    return h[order], order
+    ones = np.ones(h.size)
+    return h[order], sp.csc_array((ones, order, np.arange(h.size + 1)), shape=H.shape)
 
 
-def _sparse_if_monomial(M: np.ndarray):
-    """M as a CSR array when it is monomial, otherwise M itself.
-
-    A monomial matrix (a diagonal or a scaled permutation) has at most one
-    nonzero per row and per column, so its products and norms cost O(d).
-    The CSR array holds every nonzero entry of M, so whatever is computed
-    from it measures M itself.
-    """
-    # a dense matrix usually fails on its first row alone, in O(d)
-    if np.count_nonzero(M[:1]) > 1 or np.count_nonzero(M) > M.shape[0]:
-        return M
-    rows, cols = np.nonzero(M)
-    if np.unique(rows).size < rows.size or np.unique(cols).size < cols.size:
-        return M
-    return sp.csr_array((M[rows, cols], (rows, cols)), shape=M.shape)
-
-
-def _intertwine(wH: np.ndarray, VH: np.ndarray, a: np.ndarray, tol: float | None):
+def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
     """U with UH = diag(a) U, from the ascending eigenpairs (wH, VH) of H.
 
     Requires wH and ``a`` to match as multisets within ``tol``.  The k-th
     eigenvector of H goes to the basis position holding the k-th smallest
-    entry of ``a``; ties keep basis order.  A 1-D ``VH`` is the ``order``
-    of a diagonal H (see ``_eigenpairs``), and U is then a CSR permutation.
+    entry of ``a``; ties keep basis order.  U is of V_H's kind: CSR for a
+    sparse V_H, dense for a dense one.
     """
     if tol is None:
         tol = spectra.default_tolerance(wH, a)
@@ -135,16 +123,9 @@ def _intertwine(wH: np.ndarray, VH: np.ndarray, a: np.ndarray, tol: float | None
         raise NotIsospectralError(
             f"operators are not isospectral within tol={tol:g}", report=report
         )
+    # row perm[k] of U is row k of V_H^dagger
     perm = np.argsort(a, kind="stable")
-    if VH.ndim == 1:
-        # row perm[k] of U holds a one in column order[k]
-        cols = np.empty_like(VH)
-        cols[perm] = VH
-        ones = np.ones(a.size, dtype=complex)
-        return sp.csr_array((ones, cols, np.arange(a.size + 1)), shape=(a.size, a.size))
-    U = np.empty((a.size, a.size), dtype=complex)
-    U[perm] = VH.conj().T
-    return U
+    return VH.conj().T[np.argsort(perm)].astype(complex, copy=False)
 
 
 def build_unitary(H, A, tol: float | None = None):
@@ -241,27 +222,21 @@ def _hermitian_commutator(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _operand(M):
-    """M as verification multiplies it: CSR for a sparse M, else ``_sparse_if_monomial(M)``."""
-    return sp.csr_array(M) if sp.issparse(M) else _sparse_if_monomial(np.asarray(M))
+    """M as verification multiplies it: CSR for a sparse M, else a dense array."""
+    return sp.csr_array(M) if sp.issparse(M) else np.asarray(M)
 
 
 def verify_integrability(
-    H,
-    U,
-    T: list,
-    basis: TruncationBasis,
-    A=None,
-    commutator_tol: float = DEFAULT_COMMUTATOR_TOL,
+    H, U, T: list, basis: TruncationBasis, A=None
 ) -> IntegrabilityCertificate:
     """Measure commutators, unitarity, and joint-spectrum injectivity.
 
     A, when given, is diagonal (a matrix or its 1-D diagonal) and yields
     the intertwining residual ‖UH − AU‖_F.  The commutators assume H and
     every T_i Hermitian, so their largest Hermiticity defect ‖X − X†‖_F is
-    gated against the commutator tolerance too, and so is the intertwining
-    residual.  Sparse operands are multiplied as they are, and dense
-    monomial operands as CSR arrays of the same entries; any other operand
-    is multiplied densely.
+    gated against the commutator tolerance ``DEFAULT_COMMUTATOR_TOL`` too,
+    and so is the intertwining residual.  Sparse operands are multiplied as
+    CSR and dense ones densely.
 
     Failures are reported in the certificate, never raised.
     """
@@ -296,7 +271,7 @@ def verify_integrability(
     independence = not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
     scale = _frob(Hop) + sum(_frob(Ti) for Ti in Tops)
-    bound = commutator_tol * max(1.0, scale)
+    bound = DEFAULT_COMMUTATOR_TOL * max(1.0, scale)
     residuals = (max_pair, max_ham, herm_defect, 0.0 if inter_res is None else inter_res)
     passed = (
         independence
@@ -315,7 +290,7 @@ def verify_integrability(
         max_pairwise_commutator=max_pair,
         max_hamiltonian_commutator=max_ham,
         independence=independence,
-        commutator_tol=commutator_tol,
+        commutator_tol=DEFAULT_COMMUTATOR_TOL,
         unitarity_tol=UNITARITY_TOL_PER_DIM * d,
         passed=passed,
     )

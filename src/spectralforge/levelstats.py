@@ -21,6 +21,7 @@ from .spectra import as_spectrum
 DEFAULT_UNFOLD_DEGREE = 3
 KS_PASS_COEFFICIENT = 1.95  # threshold 1.95/sqrt(N), roughly alpha = 0.001
 MODELS = ("poisson", "gue")
+HISTOGRAM_BINS = 40  # bins of a spacing test's histogram, on [0, max(4, largest spacing)]
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,7 @@ class SpacingTestReport:
         return "\n".join(lines) + "\n"
 
 
-def spacing_test(
-    sample: SpacingSample, model: str, n_bins: int = 40, min_count: int = 50
-) -> SpacingTestReport:
+def spacing_test(sample: SpacingSample, model: str, min_count: int = 50) -> SpacingTestReport:
     """One-sample KS test of the spacing sample against a reference law.
 
     Below ~50 spacings the test is only a tendency check; callers that
@@ -150,7 +149,7 @@ def spacing_test(
     dist = ks_distance(s, _MODEL_CDF[model])
     threshold = KS_PASS_COEFFICIENT / np.sqrt(s.size)
     hi = max(4.0, float(s.max()) * (1 + 1e-12))
-    counts, edges = np.histogram(s, bins=n_bins, range=(0.0, hi))
+    counts, edges = np.histogram(s, bins=HISTOGRAM_BINS, range=(0.0, hi))
     return SpacingTestReport(
         model=model,
         ks_distance=dist,

@@ -5,49 +5,23 @@ homogeneous Dirichlet walls.  Confining potentials keep the low spectrum
 discrete and box-truncation error negligible for the retained levels.
 The grid is exactly mirror-symmetric, so a 2-D potential that is even in
 x and in y is solved one parity sector at a time (``grid_levels``).
+``low_spectrum`` takes every H as CSR and picks its solver from the
+structure and the level count alone.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
-from .errors import CapacityError, InputError
-from .fockspace import sparse_diagonal
+from .errors import InputError
+from .fockspace import check_dimension, sparse_diagonal
 from .intertwiner import IntegrabilityCertificate, certify
-
-DEFAULT_DIM_CAP = 4096
-CAP_ENV_VAR = "SPECTRAL_FORGE_CAP"
-_DENSE_EIG_LIMIT = 1200  # above this, low_spectrum switches to sparse Lanczos
-
-
-def dimension_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InputError(f"{CAP_ENV_VAR} must be positive")
-    return cap
-
-
-def check_dimension(
-    size: int, cap: int | None = None, what: str = "matrix dimension",
-    remedy: str = "use a coarser grid",
-) -> None:
-    """Refuse ``size`` above ``cap``, which defaults to ``dimension_cap()``."""
-    cap = dimension_cap() if cap is None else int(cap)
-    if size > cap:
-        raise CapacityError(f"{what} {size} exceeds cap {cap}; {remedy} or raise the cap")
 
 
 @dataclass(frozen=True)
@@ -208,49 +182,44 @@ def _check_level_count(m: int, dim: int) -> None:
 def low_spectrum(H, m: int) -> np.ndarray:
     """The m smallest eigenvalues of a Hermitian matrix, ascending.
 
-    Dense input uses a direct solver.  A sparse tridiagonal H (every 1-D
-    grid) uses the tridiagonal solver: MRRR for the whole spectrum and
-    bisection for fewer levels.  Any other sparse H uses shift-invert
-    Lanczos anchored below the spectrum, or the dense solver for the
-    whole spectrum.
+    A dense H is taken as CSR, so every H meets one dispatch.  A
+    tridiagonal H (every 1-D grid) uses the tridiagonal solver: MRRR for
+    the whole spectrum and bisection for fewer levels.  Any other H uses
+    the dense solver for all levels or all but one, and shift-invert
+    Lanczos anchored below the spectrum for fewer levels.
     """
     m = int(m)
     dim = H.shape[0]
     _check_level_count(m, dim)
-    if sp.issparse(H):
-        if _is_tridiagonal(H):
-            # a Hermitian tridiagonal matrix has the eigenvalues of the
-            # real one with off-diagonal |e|
-            e = H.diagonal(1)
-            e = np.abs(e) if np.iscomplexobj(e) else e
-            if m == dim:
-                return eigvalsh_tridiagonal(H.diagonal().real, e)
-            return eigvalsh_tridiagonal(
-                H.diagonal().real, e, select="i", select_range=(0, m - 1)
-            )
+    H = sp.csr_matrix(H)
+    if _is_tridiagonal(H):
+        # a Hermitian tridiagonal matrix has the eigenvalues of the
+        # real one with off-diagonal |e|
+        e = H.diagonal(1)
+        e = np.abs(e) if np.iscomplexobj(e) else e
         if m == dim:
-            return np.sort(np.linalg.eigvalsh(H.toarray()))
-        # Gershgorin lower bound keeps the shift strictly below the spectrum
-        Habs = abs(H)
-        row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
-        sigma = float((H.diagonal() - row_radius).min()) - 1.0
-        # fixed start vector keeps the Lanczos iteration bit-reproducible
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        # H is symmetric, so a minimum-degree ordering on its pattern keeps
-        # the LU fill of H - sigma I low
-        lu = spla.splu(
-            (H - sigma * sp.identity(dim, format="csr")).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
+            return eigvalsh_tridiagonal(H.diagonal().real, e)
+        return eigvalsh_tridiagonal(
+            H.diagonal().real, e, select="i", select_range=(0, m - 1)
         )
-        w = spla.eigsh(
-            H, k=m, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
-            OPinv=spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=float),
-        )
-        return np.sort(w)
-    H = np.asarray(H)
-    if dim > _DENSE_EIG_LIMIT and m < dim // 4:
-        return low_spectrum(sp.csr_matrix(H), m)
-    w = eigh(H, eigvals_only=True, subset_by_index=[0, m - 1])
+    if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
+        return np.sort(np.linalg.eigvalsh(H.toarray()))[:m]
+    # Gershgorin lower bound keeps the shift strictly below the spectrum
+    Habs = abs(H)
+    row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
+    sigma = float((H.diagonal().real - row_radius).min()) - 1.0
+    # fixed start vector keeps the Lanczos iteration bit-reproducible
+    v0 = np.full(dim, 1.0 / np.sqrt(dim))
+    # H is symmetric, so a minimum-degree ordering on its pattern keeps
+    # the LU fill of H - sigma I low
+    lu = spla.splu(
+        (H - sigma * sp.identity(dim, format="csr")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+    )
+    w = spla.eigsh(
+        H, k=m, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
+        OPinv=spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=H.dtype),
+    )
     return np.sort(w)
 
 
@@ -316,14 +285,13 @@ def pipeline_integrate(
     pot: PotentialSpec,
     n_modes: int,
     m: int,
-    cap: int | None = None,
 ) -> IntegrabilityCertificate:
     """End-to-end demonstration on a physical operator.
 
     Solves for the lowest m levels of the FD Hamiltonian, then certifies
     their projection with ``certify_levels``.
     """
-    check_dimension(m, cap, "projected dimension", "request fewer levels")
+    check_dimension(m, what="projected dimension", remedy="request fewer levels")
     return certify_levels(grid_levels(grid, pot, m)[0], n_modes)
 
 

@@ -472,7 +472,7 @@ def test_sparse_non_diagonal_matrix_above_cap_exit_3(tmp_path, capsys, monkeypat
     sparse, diagonal = tmp_path / "sparse.json", tmp_path / "diagonal.json"
     sparse.write_text(matrix_to_json(sp.csr_array(_sparse_hermitian(12, 4))))
     diagonal.write_text(matrix_to_json(sp.csr_array(np.diag(np.arange(12.0)))))
-    monkeypatch.setenv(schrodinger.CAP_ENV_VAR, "11")
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "11")
     assert cli.run(["verify", "--matrix", str(sparse)]) == 3
     assert _one_error_line(capsys.readouterr(), "error: capacity:")
     # a diagonal H is certified in O(d), with no dense matrix to cap

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from scipy.stats import unitary_group
 
 from spectralforge import intertwiner
-from spectralforge.errors import InputError, NotIsospectralError
+from spectralforge.errors import CapacityError, InputError, NotIsospectralError
 from spectralforge.fockspace import (
     TruncationBasis,
     eigendecompose,
@@ -336,7 +336,6 @@ def test_off_diagonal_pair_in_first_integral_fails(structured):
     j = next(k for k in occupied if h[k] != h[i])
     # rows i and j now hold two nonzeros each: T_1 is verified densely
     T[0][i, j] = T[0][j, i] = 1e-3
-    assert intertwiner._sparse_if_monomial(T[0]) is T[0]
     cert = verify_integrability(H, good.U, T, basis, A=A)
     tol = cert.commutator_tol * (np.linalg.norm(H) + sum(np.linalg.norm(Ti) for Ti in T))
     assert cert.max_hamiltonian_commutator > tol
@@ -393,3 +392,20 @@ def test_first_integrals_of_sparse_permutation_are_csr_diagonals():
         assert Ti.format == "csr" and isinstance(ref, np.ndarray)
         assert np.array_equal(Ti.toarray(), ref)
         assert np.array_equal(Ti.toarray(), np.diag(Ti.diagonal()))
+
+
+def test_certify_caps_sparse_non_diagonal_H_before_densifying(monkeypatch):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    H = sp.csr_array(X + X.conj().T)
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("H was made dense before the cap was checked")
+
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "11")
+    monkeypatch.setattr(sp.csr_array, "toarray", no_dense)
+    with pytest.raises(CapacityError, match="matrix dimension 12 exceeds cap 11"):
+        certify(H, None, 2)
+    # a diagonal H is certified in O(d), with no dense matrix to cap
+    cert = certify(sparse_diagonal(np.arange(12.0)), None, 2)
+    assert cert.passed and sp.issparse(cert.U)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -104,11 +106,10 @@ def test_quartic_cross_stable_under_refinement():
 
 
 def test_low_spectrum_dense_and_sparse_agree():
-    grid = GridSpec(1, 10.0, 200)
-    pot = PotentialSpec.harmonic()
-    w_dense = low_spectrum(assemble_sparse(grid, pot).toarray(), 6)
-    w_sparse = low_spectrum(assemble_sparse(grid, pot), 6)
-    assert np.allclose(w_dense, w_sparse, atol=1e-9)
+    # a dense H takes the sparse dispatch: tridiagonal in 1-D, Lanczos in 2-D
+    for grid in (GridSpec(1, 10.0, 200), GridSpec(2, 8.0, 20)):
+        H = assemble_sparse(grid, PotentialSpec.harmonic())
+        assert np.array_equal(low_spectrum(H.toarray(), 6), low_spectrum(H, 6))
 
 
 @pytest.mark.parametrize("m", [300, 12], ids=["whole_spectrum", "lowest_levels"])
@@ -132,6 +133,19 @@ def test_low_spectrum_complex_hermitian_tridiagonal():
     H = sp.diags([e.conj(), rng.normal(size=40), e], [-1, 0, 1], format="csr")
     ref = np.linalg.eigvalsh(H.toarray())
     assert np.abs(low_spectrum(H, 40) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_low_spectrum_complex_hermitian_dense_lowest_levels():
+    # a dense H takes the sparse dispatch, so a full complex one goes to Lanczos
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(60, 60)) + 1j * rng.normal(size=(60, 60))
+    H = X + X.conj().T
+    ref = np.linalg.eigvalsh(H)
+    for m in (5, 59):  # Lanczos, then the dense solver ARPACK would fall back to
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = low_spectrum(H, m)
+        assert np.abs(w - ref[:m]).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_low_spectrum_range_check():
