@@ -195,15 +195,23 @@ def _load_sequence(config: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommand implementations: typed config -> (report payload, passed)
 
+def _synthesized_operator(seq, modes: int, d: int, out):
+    """The diagonal operator realizing ``seq[:d]`` on ``modes`` modes, as CSR;
+    written to ``out`` as sparse matrix JSON when ``out`` is given."""
+    A = sparse_diagonal(_synthesized_diagonal(seq, TruncationBasis.build(modes, d)))
+    if out:
+        with open(out, "w") as fh:
+            fh.write(matrix_to_json(A) + "\n")
+    return A
+
+
 def _cmd_synthesize(config: dict) -> tuple[dict, bool]:
     seq = _load_sequence(config)
-    d = config["dim"] or seq.size
-    A = sparse_diagonal(_synthesized_diagonal(seq, TruncationBasis.build(config["modes"], d)))
-    spectrum_of_A = np.sort(A.diagonal().real)
-    check = spectra.completely_isospectral(spectrum_of_A, np.sort(seq[:d]), tol=0.0)
-    if config["out"]:
-        with open(config["out"], "w") as fh:
-            fh.write(matrix_to_json(A) + "\n")
+    d = seq.size if config["dim"] is None else config["dim"]
+    if not 1 <= d <= seq.size:
+        raise InputError(f"--dim must be in 1..{seq.size}, got {d}")
+    A = _synthesized_operator(seq, config["modes"], d, config["out"])
+    check = spectra.completely_isospectral(A.diagonal().real, seq[:d], tol=0.0)
     payload = {
         "dim": d,
         "modes": config["modes"],
@@ -251,10 +259,9 @@ def _cmd_zeta(config: dict) -> tuple[dict, bool]:
         for model in levelstats.MODELS
     }
     if config["synthesize_out"]:
-        basis = TruncationBasis.build(config["modes"], zero_set.count)
-        A = sparse_diagonal(_synthesized_diagonal(zero_set.values, basis))
-        with open(config["synthesize_out"], "w") as fh:
-            fh.write(matrix_to_json(A) + "\n")
+        _synthesized_operator(
+            zero_set.values, config["modes"], zero_set.count, config["synthesize_out"]
+        )
     payload = {
         "zero_count": zero_set.count,
         "source": zero_set.source,

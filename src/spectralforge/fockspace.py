@@ -65,12 +65,12 @@ def sparse_diagonal(diag) -> sp.csr_array:
     return sp.csr_array((diag, np.arange(d), np.arange(d + 1)), shape=(d, d))
 
 
-def is_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
+def is_hermitian(M: np.ndarray) -> bool:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
     scale = max(1.0, float(np.abs(M).max()) if M.size else 0.0)
-    return float(np.abs(M - M.conj().T).max()) <= rtol * scale
+    return float(np.abs(M - M.conj().T).max()) <= HERMITICITY_RTOL * scale
 
 
 def _number_diagonal(basis: TruncationBasis, mode: int) -> np.ndarray:
@@ -128,14 +128,13 @@ def dimension_cap() -> int:
     return cap
 
 
-def check_dimension(
-    size: int, cap: int | None = None, what: str = "matrix dimension",
-    remedy: str = "use a coarser grid",
-) -> None:
-    """Refuse ``size`` above ``cap``, which defaults to ``dimension_cap()``."""
+def check_dimension(size: int, cap: int | None = None, remedy: str = "use a coarser grid") -> None:
+    """Refuse a matrix dimension ``size`` above ``cap``, which defaults to ``dimension_cap()``."""
     cap = dimension_cap() if cap is None else int(cap)
     if size > cap:
-        raise CapacityError(f"{what} {size} exceeds cap {cap}; {remedy} or raise the cap")
+        raise CapacityError(
+            f"matrix dimension {size} exceeds cap {cap}; {remedy} or raise the cap"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +194,14 @@ def matrix_from_json(text: str):
         raise InputError(f"bad matrix JSON: {exc}")
     if dim < 0:
         raise InputError("matrix JSON dim is negative")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise InputError("matrix JSON has entries that are not finite")
     if not sparse:
         if re.shape != (dim * dim,) or im.shape != (dim * dim,):
             raise InputError("matrix JSON arrays do not match dim*dim")
         return (re + 1j * im).reshape(dim, dim)
     if not rows.shape == cols.shape == re.shape == im.shape:
         raise InputError("matrix JSON rows, cols, re and im differ in length")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise InputError("matrix JSON has entries that are not finite")
     order = np.lexsort((cols, rows))
     if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
         raise InputError("matrix JSON repeats a (row, col) pair")

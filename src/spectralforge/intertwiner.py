@@ -26,7 +26,6 @@ residual.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +101,7 @@ def _eigenpairs(H):
     """
     if not sp.issparse(H):
         return eigendecompose(H)
-    h = _diagonal(H, "H")
+    h = _diagonal(H.diagonal(), "H")
     order = np.argsort(h, kind="stable")
     ones = np.ones(h.size)
     return h[order], sp.csc_array((ones, order, np.arange(h.size + 1)), shape=H.shape)
@@ -171,7 +170,6 @@ class IntegrabilityCertificate:
     n_modes: int
     U: object = field(repr=False)  # from certify: CSR for a diagonal H, else dense
     T: list = field(repr=False)  # from certify: of the same kind as U
-    joint_spectrum: np.ndarray = field(repr=False)
     unitarity_defect: float
     intertwining_residual: float | None
     hermiticity_defect: float
@@ -196,9 +194,6 @@ class IntegrabilityCertificate:
             "unitarity_tol": self.unitarity_tol,
             "passed": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _frob(M) -> float:
@@ -283,7 +278,6 @@ def verify_integrability(
         n_modes=basis.n,
         U=U,
         T=list(T),
-        joint_spectrum=basis.indices.copy(),
         unitarity_defect=unit_defect,
         intertwining_residual=inter_res,
         hermiticity_defect=herm_defect,

@@ -9,7 +9,6 @@ Kolmogorov-Smirnov statistic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +122,6 @@ class SpacingTestReport:
             },
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def histogram_csv(self) -> str:
         lines = ["bin_left,bin_right,count"]
         for left, right, c in zip(
@@ -178,7 +174,6 @@ def ensemble_experiment(
     N: int,
     seed: int,
     levels: str = "uniform",
-    degree: int = DEFAULT_UNFOLD_DEGREE,
 ) -> dict:
     """Seeded Monte Carlo over random spectra, Poisson spacing test per trial.
 
@@ -201,7 +196,7 @@ def ensemble_experiment(
             raw = rng.uniform(0.0, 1.0, size=N)
         else:
             raw = np.arange(N, dtype=float)
-        report = spacing_test(unfold(raw, degree=degree), "poisson")
+        report = spacing_test(unfold(raw), "poisson")
         distances[t] = report.ks_distance
         passes += report.passed
     q = np.quantile(distances, [0.05, 0.25, 0.5, 0.75, 0.95])
@@ -210,7 +205,7 @@ def ensemble_experiment(
         "levels_per_trial": int(N),
         "seed": int(seed),
         "level_model": levels,
-        "unfold_degree": int(degree),
+        "unfold_degree": DEFAULT_UNFOLD_DEGREE,
         "threshold": float(KS_PASS_COEFFICIENT / np.sqrt(N - 1)),
         "pass_rate": passes / trials,
         "mean_ks": float(distances.mean()),

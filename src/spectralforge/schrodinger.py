@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InputError
-from .fockspace import check_dimension, sparse_diagonal
+from .fockspace import sparse_diagonal
 from .intertwiner import IntegrabilityCertificate, certify
 
 
@@ -291,7 +291,6 @@ def pipeline_integrate(
     Solves for the lowest m levels of the FD Hamiltonian, then certifies
     their projection with ``certify_levels``.
     """
-    check_dimension(m, what="projected dimension", remedy="request fewer levels")
     return certify_levels(grid_levels(grid, pot, m)[0], n_modes)
 
 

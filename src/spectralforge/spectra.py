@@ -7,7 +7,6 @@ values are meaningful and encode eigenvalue multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -112,7 +111,8 @@ class ClosedSetSpec:
             if not self.intervals:
                 raise InputError("interval set spec requires at least one interval")
             for lo, hi in self.intervals:
-                if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
+                # a finite width also rules out infinite and NaN ends
+                if not np.isfinite(hi - lo) or lo > hi:
                     raise InputError(f"bad interval ({lo}, {hi})")
         elif self.variant != "cantor":
             raise InputError(f"unknown closed-set variant {self.variant!r}")
@@ -137,32 +137,23 @@ class ClosedSetSpec:
         return cls(variant="cantor")
 
 
-def _dyadic_unit_stream():
-    # 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8, ...
-    yield Fraction(0)
-    yield Fraction(1)
-    g = 1
-    while True:
-        for k in range(1, 2**g, 2):
-            yield Fraction(k, 2**g)
-        g += 1
+def _dyadic_units(k: np.ndarray) -> np.ndarray:
+    # terms k of 0, 1, 1/2, 1/4, 3/4, 1/8, ...: with g the bit length of k - 1
+    # (exact from frexp for k < 2^53), term k >= 2 is (2(k - 2^(g-1)) - 1) / 2^g
+    half = 2 ** (np.frexp(np.maximum(k - 1, 1))[1].astype(np.int64) - 1)
+    return np.where(k < 2, k, (2 * (k - half) - 1) / (2 * half))
 
 
-def _cantor_endpoint_stream():
-    # interval endpoints by generation, left to right within a generation
-    yield Fraction(0)
-    yield Fraction(1)
-    removed = [(Fraction(0), Fraction(1))]
-    while True:
-        next_removed = []
-        for lo, hi in removed:
-            third = (hi - lo) / 3
-            a, b = lo + third, hi - third
-            yield a
-            yield b
-            next_removed.append((lo, a))
-            next_removed.append((b, hi))
-        removed = next_removed
+def _cantor_endpoints(p: np.ndarray) -> np.ndarray:
+    # terms p >= 1 of 0, 1, 1/3, 2/3, 1/9, 2/9, 7/9, 8/9, ...: generation g
+    # holds terms 2^g .. 2^(g+1) - 1, the ends (6L + 1) / 3^g and (6L + 2) / 3^g
+    # of the middle third of kept interval k, whose left end is 2L / 3^(g-1)
+    # with L the binary digits of k read in base 3.  Below p = 2^34 (128 GiB
+    # of terms) 3^g < 2^53, so each term is one correctly rounded division.
+    g = np.frexp(p)[1].astype(np.int64) - 1
+    k, side = np.divmod(p - 2**g, 2)
+    digits3 = sum(((k >> j) & 1) * 3**j for j in range(int(g.max(initial=0))))
+    return (6 * digits3 + 1 + side) / 3**g
 
 
 def dense_subset(spec: ClosedSetSpec, m: int) -> np.ndarray:
@@ -170,51 +161,41 @@ def dense_subset(spec: ClosedSetSpec, m: int) -> np.ndarray:
     m = int(m)
     if m < 1:
         raise InputError("count must be >= 1")
+    i = np.arange(m)
     if spec.variant == "finite":
-        pts = spec.points
-        return np.array([pts[i % len(pts)] for i in range(m)], dtype=float)
+        return np.array(spec.points, dtype=float)[i % len(spec.points)]
     if spec.variant == "cantor":
-        stream = _cantor_endpoint_stream()
-        return np.array([float(next(stream)) for _ in range(m)])
-    # intervals: round-robin over per-interval dyadic streams
-    streams = []
-    for lo, hi in spec.intervals:
-        streams.append((lo, hi, None if lo == hi else _dyadic_unit_stream()))
-    out = np.empty(m)
-    for i in range(m):
-        lo, hi, stream = streams[i % len(streams)]
-        if lo == hi:
-            out[i] = lo
-        else:
-            t = next(stream)
-            out[i] = lo + float(t) * (hi - lo)
-    return out
+        return np.concatenate(([0.0], _cantor_endpoints(i[1:])))
+    # intervals take turns, each walking the dyadic terms 0, 1, 1/2, ... of itself;
+    # lo - t (lo - hi) has the bits of lo + t (hi - lo) and keeps lo = hi = -0.0
+    lo, hi = np.array(spec.intervals, dtype=float)[i % len(spec.intervals)].T
+    return lo - _dyadic_units(i // len(spec.intervals)) * (lo - hi)
 
 
 # ---------------------------------------------------------------------------
-# serialization: one float per line (plain text) and a JSON array
+# serialization: one float per line, blank lines and '#' comments skipped
 
-def format_spectrum_text(seq) -> str:
-    arr = as_spectrum(seq)
-    return "\n".join(f"{v:.17g}" for v in arr) + "\n"
-
-
-def save_spectrum_text(seq, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_spectrum_text(seq))
-
-
-def load_spectrum_text(path) -> np.ndarray:
-    values = []
+def read_values(path):
+    """Yield (line number, value) for each value line of a one-float-per-line file."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                values.append(float(stripped))
+                value = float(stripped)
             except ValueError:
                 raise InputError(f"{path}: unparsable value at line {lineno}")
+            yield lineno, value
+
+
+def save_spectrum_text(seq, path) -> None:
+    with open(path, "w") as fh:
+        fh.write("".join(f"{v:.17g}\n" for v in as_spectrum(seq)))
+
+
+def load_spectrum_text(path) -> np.ndarray:
+    values = [value for _, value in read_values(path)]
     if not values:
         raise InputError(f"{path}: no spectrum values found")
     return as_spectrum(values)

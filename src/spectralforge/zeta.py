@@ -15,14 +15,15 @@ every bracket still open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, pi
+from itertools import accumulate
+from math import pi
 
 import numpy as np
 from scipy.special import loggamma
 
 from .errors import CapacityError, InputError
+from .spectra import read_values
 
 MAX_COMPUTED_ZEROS = 100
 SCAN_STEP = 0.05
@@ -37,15 +38,13 @@ def siegel_theta(t) -> np.ndarray:
 
 
 def _borwein_coefficients(n: int) -> np.ndarray:
-    # ratios (d_k - d_n) / d_n with d_k = n * sum_{j<=k} (n+j-1)! 4^j / ((n-j)! (2j)!),
-    # accumulated exactly in rational arithmetic
-    d = []
-    acc = Fraction(0)
-    for j in range(n + 1):
-        acc += Fraction(factorial(n + j - 1) * 4**j, factorial(n - j) * factorial(2 * j))
-        d.append(n * acc)
-    dn = d[n]
-    return np.array([float((d[k] - dn) / dn) for k in range(n)], dtype=float)
+    # ratios (d_k - d_n) / d_n with d_k = sum_{j<=k} n (n+j-1)! 4^j / ((n-j)! (2j)!);
+    # every term is an integer, so each follows exactly from the one before
+    terms = [1]
+    for j in range(1, n + 1):
+        terms.append(terms[-1] * 4 * (n + j - 1) * (n - j + 1) // (2 * j * (2 * j - 1)))
+    d = list(accumulate(terms))
+    return np.array([(dk - d[n]) / d[n] for dk in d[:n]])
 
 
 @lru_cache(maxsize=8)
@@ -100,20 +99,12 @@ class ZetaZeroSet:
 def parse_zeros(path) -> ZetaZeroSet:
     """Read an ascending one-float-per-line zero table; '#' lines are comments."""
     values = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                v = float(stripped)
-            except ValueError:
-                raise InputError(f"{path}: unparsable value at line {lineno}")
-            if not np.isfinite(v) or v <= 0:
-                raise InputError(f"{path}: non-positive zero at line {lineno}")
-            if values and v <= values[-1]:
-                raise InputError(f"{path}: non-monotone zero at line {lineno}")
-            values.append(v)
+    for lineno, v in read_values(path):
+        if not np.isfinite(v) or v <= 0:
+            raise InputError(f"{path}: non-positive zero at line {lineno}")
+        if values and v <= values[-1]:
+            raise InputError(f"{path}: non-monotone zero at line {lineno}")
+        values.append(v)
     if not values:
         raise InputError(f"{path}: no zeros found")
     return ZetaZeroSet(values=np.array(values), source="file")

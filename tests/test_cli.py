@@ -485,8 +485,13 @@ def test_sparse_non_diagonal_matrix_above_cap_exit_3(tmp_path, capsys, monkeypat
         (["zeta", "--compute", "0"], "--compute must be in 1..100"),
         (["synthesize", "--set", "finite:0,1", "--count", "0"], "--count must be at least 1"),
         (["stats", "--set", "interval:0:1", "--count", "-3"], "--count must be at least 1"),
+        (["synthesize", "--set", "finite:0,1", "--count", "4", "--dim", "0"],
+         "--dim must be in 1..4, got 0"),
+        (["synthesize", "--set", "finite:0,1", "--count", "4", "--dim", "-3"],
+         "--dim must be in 1..4, got -3"),
     ],
-    ids=["zeta_compute", "synthesize_count", "stats_count"],
+    ids=["zeta_compute", "synthesize_count", "stats_count", "synthesize_dim_zero",
+         "synthesize_dim_negative"],
 )
 def test_zero_count_is_range_checked_exit_2(capsys, argv, names):
     assert cli.run(argv) == 2

@@ -131,8 +131,9 @@ def test_matrix_json_validation():
         '{"dim": 2, "re": ["a", 0, 0, 1], "im": [0, 0, 0, 0]}',
         '{"dim": -1, "re": [1], "im": [0]}',
         '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [0, 0, 0, 0]}',
+        '{"dim": 2, "re": [NaN, 1, 1, 1], "im": [0, 0, 0, 0]}',
     ],
-    ids=["not_json", "non_numeric_entry", "negative_dim", "nested_re"],
+    ids=["not_json", "non_numeric_entry", "negative_dim", "nested_re", "dense_nan"],
 )
 def test_matrix_from_json_rejects_malformed_payload(text):
     with pytest.raises(InputError):

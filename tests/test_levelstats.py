@@ -102,7 +102,6 @@ def test_spacing_report_histogram_and_serialization():
     csv = report.histogram_csv()
     assert csv.startswith("bin_left,bin_right,count")
     assert len(csv.strip().splitlines()) == report.bin_counts.size + 1
-    assert "ks_distance" in report.to_json()
 
 
 def test_spacing_test_sample_floor():

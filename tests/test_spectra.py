@@ -1,3 +1,6 @@
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -53,8 +56,6 @@ def test_dense_subset_membership():
     cantor_pts = spectra.dense_subset(spectra.ClosedSetSpec.cantor(), 50)
     # all emitted points are k/3^g; check exact membership by iterating the
     # ternary self-map (removed middle thirds are open intervals)
-    from fractions import Fraction
-
     for v in cantor_pts:
         fr = Fraction(round(v * 3**6), 3**6)
         for _ in range(10):
@@ -68,11 +69,87 @@ def test_dense_subset_membership():
                 pytest.fail(f"{v} escaped the Cantor construction")
 
 
+# exact references: the enumerations as streams of rationals, each term
+# rounded once by float(Fraction)
+
+def _dyadic_unit_stream():
+    # 0, 1, 1/2, 1/4, 3/4, 1/8, 3/8, 5/8, 7/8, ...
+    yield Fraction(0)
+    yield Fraction(1)
+    g = 1
+    while True:
+        for k in range(1, 2**g, 2):
+            yield Fraction(k, 2**g)
+        g += 1
+
+
+def _cantor_endpoint_stream():
+    # interval endpoints by generation, left to right within a generation
+    yield Fraction(0)
+    yield Fraction(1)
+    removed = [(Fraction(0), Fraction(1))]
+    while True:
+        next_removed = []
+        for lo, hi in removed:
+            third = (hi - lo) / 3
+            a, b = lo + third, hi - third
+            yield a
+            yield b
+            next_removed.append((lo, a))
+            next_removed.append((b, hi))
+        removed = next_removed
+
+
+def _fraction_dense_subset(spec, m):
+    if spec.variant == "finite":
+        return np.array([spec.points[i % len(spec.points)] for i in range(m)], dtype=float)
+    if spec.variant == "cantor":
+        stream = _cantor_endpoint_stream()
+        return np.array([float(next(stream)) for _ in range(m)])
+    streams = [(lo, hi, None if lo == hi else _dyadic_unit_stream()) for lo, hi in spec.intervals]
+    out = np.empty(m)
+    for i in range(m):
+        lo, hi, stream = streams[i % len(streams)]
+        out[i] = lo if lo == hi else lo + float(next(stream)) * (hi - lo)
+    return out
+
+
+REFERENCE_SPECS = {
+    "finite": spectra.ClosedSetSpec.finite([3.0, -1.5, 2.0, 3.0]),
+    "cantor": spectra.ClosedSetSpec.cantor(),
+    "interval": spectra.ClosedSetSpec.interval(0.0, 1.0),
+    "offset_interval": spectra.ClosedSetSpec.interval(-2.5, 17.25),
+    "degenerate": spectra.ClosedSetSpec.interval(7.0, 7.0),
+    "negative_zero": spectra.ClosedSetSpec.interval_union([(-0.0, -0.0), (-0.0, 2.0)]),
+    "huge": spectra.ClosedSetSpec.interval(-1e300, 1e300),
+    "union": spectra.ClosedSetSpec.interval_union([(0.0, 1.0), (7.0, 7.0), (-3.0, 2.5)]),
+}
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS.values(), ids=REFERENCE_SPECS)
+def test_dense_subset_matches_fraction_streams(spec):
+    # the enumeration is fixed, so every m gives a prefix of the longest
+    want = _fraction_dense_subset(spec, 20000)
+    for m in (1, 2, 3, 4, 5, 7, 8, 9, 64, 1000, 4097, 20000):
+        got = spectra.dense_subset(spec, m)
+        assert got.dtype == want.dtype and got.tobytes() == want[:m].tobytes(), m
+
+
+def test_dense_subset_million_terms_within_budget():
+    for spec in (spectra.ClosedSetSpec.interval(0.0, 1.0), spectra.ClosedSetSpec.cantor()):
+        start = time.perf_counter()
+        pts = spectra.dense_subset(spec, 10**6)
+        assert time.perf_counter() - start < 2.0, spec.variant
+        assert pts.shape == (10**6,) and ((pts >= 0.0) & (pts <= 1.0)).all()
+
+
 def test_bad_set_specs():
     with pytest.raises(InputError):
         spectra.ClosedSetSpec.finite([])
     with pytest.raises(InputError):
         spectra.ClosedSetSpec.interval(2.0, 1.0)
+    with pytest.raises(InputError, match="bad interval"):
+        spectra.ClosedSetSpec.interval(-1e308, 1e308)  # finite ends, infinite width
     with pytest.raises(InputError):
         spectra.dense_subset(spectra.ClosedSetSpec.cantor(), 0)
 

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -35,6 +38,22 @@ def test_compute_first_three_zeros():
 def test_computed_zeros_strictly_increase():
     zs = zeta.compute_zeros(30)
     assert (np.diff(zs.values) > 1e-6).all()
+
+
+def _fraction_borwein_coefficients(n):
+    # the closed form in exact rationals, each ratio rounded once
+    d = []
+    acc = Fraction(0)
+    for j in range(n + 1):
+        acc += Fraction(factorial(n + j - 1) * 4**j, factorial(n - j) * factorial(2 * j))
+        d.append(n * acc)
+    return np.array([float((d[k] - d[n]) / d[n]) for k in range(n)])
+
+
+@pytest.mark.parametrize("n", [64, 128, 192, 256, 320])
+def test_borwein_coefficients_match_rational_formula(n):
+    # every n the evaluator requests for up to 100 zeros
+    assert np.array_equal(zeta._borwein_coefficients(n), _fraction_borwein_coefficients(n))
 
 
 def test_compute_zeros_capacity():
