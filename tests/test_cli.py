@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spectralforge import cli, schrodinger, zeta
 from spectralforge.fockspace import matrix_to_json
@@ -127,6 +128,23 @@ def test_stats_rigid_spectrum_fails_with_exit_1(tmp_path, capsys):
     )
     assert code == 1
     assert report["spacing_test"]["passed"] is False
+
+
+@pytest.mark.parametrize("model, code", [("goe", 0), ("poisson", 1)])
+def test_stats_goe_surmise_spectrum(tmp_path, capsys, model, code):
+    # spacings drawn from the GOE surmise by its inverse CDF, summed into levels
+    u = np.random.default_rng(5).uniform(0.0, 1.0, 1000)
+    spectrum = tmp_path / "goe.txt"
+    levels = np.cumsum(np.sqrt(-4.0 * np.log1p(-u) / np.pi))
+    spectrum.write_text("\n".join(f"{v:.17g}" for v in levels) + "\n")
+    got, report = run_report(
+        ["stats", "--spectrum", str(spectrum), "--model", model, "--degree", "1",
+         "--no-timestamp"],
+        capsys,
+    )
+    test = report["spacing_test"]
+    assert (got, test["model"], test["passed"]) == (code, model, code == 0)
+    assert test["ks_distance_two_sided"] == max(test["ks_distance"], test["ks_distance_minus"])
 
 
 def test_config_file_precedence(tmp_path, capsys):
@@ -574,3 +592,28 @@ def test_allocation_failure_exit_3_one_line(tmp_path, capsys, monkeypatch, error
     assert cli.run(["verify", "--matrix", str(matrix)]) == 3
     captured = capsys.readouterr()
     assert _one_error_line(captured, "error: capacity:") and names in captured.err
+
+
+def test_arpack_no_convergence_exit_3_one_line(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence(
+            "ARPACK error -1: No convergence (1001 iterations, 0/10 eigenvectors converged)",
+            np.empty(0), np.empty((0, 0)),
+        )
+
+    monkeypatch.setattr(schrodinger.spla, "eigsh", no_convergence)
+    argv = ["schrodinger", "--dimension", "2", "--potential", "x2y2", "--points", "24",
+            "--levels", "10"]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert _one_error_line(captured, "error: numerical:") and "No convergence" in captured.err
+
+
+def test_linalg_error_exit_3_one_line(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalue computation did not converge")
+
+    monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal", no_convergence)
+    assert cli.run(["schrodinger", "--points", "50", "--levels", "5"]) == 3
+    captured = capsys.readouterr()
+    assert _one_error_line(captured, "error: numerical:") and "did not converge" in captured.err
