@@ -173,11 +173,6 @@ def actions_of(z_x, z_p) -> np.ndarray:
     return 0.5 * (x**2 + p**2 - 1.0)
 
 
-def classical_value(table: ActionTable, x, p) -> float:
-    """Hamiltonian value at a phase point, through the action variables."""
-    return table.value_at_actions(actions_of(x, p))
-
-
 @dataclass(frozen=True)
 class FlowReport:
     times: np.ndarray

@@ -27,7 +27,6 @@ from .errors import CapacityError, InputError
 from .fockspace import (
     TruncationBasis,
     _synthesized_diagonal,
-    check_dimension,
     matrix_from_json,
     matrix_to_json,
     sparse_diagonal,
@@ -288,8 +287,7 @@ def _cmd_schrodinger(config: dict) -> tuple[dict, bool]:
         raise InputError(
             f"unknown potential {pot_name!r}; use harmonic, x2y2 or csv:PATH"
         )
-    check_dimension(grid.size, config["cap"])
-    levels, sectors = schrodinger.grid_levels(grid, pot, config["levels"])
+    levels, sectors = schrodinger.grid_levels(grid, pot, config["levels"], config["cap"])
     if config["out"]:
         spectra.save_spectrum_text(levels, config["out"])
     payload = {
@@ -374,7 +372,7 @@ SUBCOMMANDS = {
         Option("out", help="write the spectrum text file here"),
         Option("pipeline", boolean, False, "also certify the projection onto the levels"),
         MODES,
-        Option("cap", integer, help="matrix dimension cap override"),
+        Option("cap", integer, help="cap on the dimension of a matrix made dense"),
         REPORT,
     )),
     "classical": Subcommand(_cmd_classical, "action-variable flow with drift report", (

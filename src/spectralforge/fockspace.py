@@ -9,7 +9,8 @@ entries (``sparse_diagonal``).
 
 Matrix JSON comes in two forms: dense ``{dim, re, im}`` with all d*d
 entries in row-major order, and sparse ``{dim, rows, cols, re, im}`` with
-the nonzero entries only.
+the nonzero entries only.  A matrix whose imaginary parts are all zero is
+read as real.
 """
 
 from __future__ import annotations
@@ -45,32 +46,23 @@ class TruncationBasis:
         return cls(n=int(n), d=int(d), indices=idx)
 
 
-def is_diagonal(M) -> bool:
-    """True when every nonzero entry of the 2-D array M, dense or sparse, is on its diagonal.
-
-    A dense M is mostly settled by its first row, in O(d).
-    """
-    if sp.issparse(M):
-        M = M.tocoo()
-        return not np.any(M.data[M.row != M.col])
-    if np.count_nonzero(M[:1, 1:]):
-        return False
-    return np.count_nonzero(M) == np.count_nonzero(np.diagonal(M))
-
-
 def sparse_diagonal(diag) -> sp.csr_array:
-    """The diagonal operator with diagonal ``diag``, as a complex CSR array of d entries."""
-    diag = np.asarray(diag, dtype=complex)
+    """The diagonal operator with diagonal ``diag``, as a CSR array of d entries in its field."""
+    diag = np.asarray(diag)
     d = diag.size
     return sp.csr_array((diag, np.arange(d), np.arange(d + 1)), shape=(d, d))
 
 
-def is_hermitian(M: np.ndarray) -> bool:
-    M = np.asarray(M)
+def is_hermitian(M) -> bool:
+    """True when M, dense or sparse, is square and M - M^dagger is within HERMITICITY_RTOL."""
+    if not sp.issparse(M):
+        M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return False
-    scale = max(1.0, float(np.abs(M).max()) if M.size else 0.0)
-    return float(np.abs(M - M.conj().T).max()) <= HERMITICITY_RTOL * scale
+    if not M.shape[0]:
+        return True  # the empty matrix, which has no entry to take a max of
+    scale = max(1.0, float(abs(M).max()))
+    return float(abs(M - M.conj().T).max()) <= HERMITICITY_RTOL * scale
 
 
 def _number_diagonal(basis: TruncationBasis, mode: int) -> np.ndarray:
@@ -111,8 +103,7 @@ def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = np.asarray(M)
     if not is_hermitian(M):
         raise InputError("matrix is not Hermitian within tolerance")
-    w, V = np.linalg.eigh(M)
-    return w, V
+    return np.linalg.eigh(M)
 
 
 def dimension_cap() -> int:
@@ -135,6 +126,15 @@ def check_dimension(size: int, cap: int | None = None, remedy: str = "use a coar
         raise CapacityError(
             f"matrix dimension {size} exceeds cap {cap}; {remedy} or raise the cap"
         )
+
+
+def dense_within_cap(M, cap: int | None = None, remedy: str = "give a smaller matrix"):
+    """The dense form of the sparse M, made only when its width M.shape[1] is within the cap.
+
+    The one check of the cap: k stacked s x s blocks, as a (k s) x s M, are capped on s.
+    """
+    check_dimension(M.shape[1], cap, remedy)
+    return M.toarray()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def _json_indices(values, dim: int, name: str) -> np.ndarray:
 
 
 def matrix_from_json(text: str):
-    """A dense array from the dense form, a CSR array from the sparse form."""
+    """An array from the dense form, CSR from the sparse; float64 when every ``im`` is 0."""
     try:
         data = json.loads(text)
         dim = int(data["dim"])
@@ -199,10 +199,10 @@ def matrix_from_json(text: str):
     if not sparse:
         if re.shape != (dim * dim,) or im.shape != (dim * dim,):
             raise InputError("matrix JSON arrays do not match dim*dim")
-        return (re + 1j * im).reshape(dim, dim)
+        return (re + 1j * im if im.any() else re).reshape(dim, dim)
     if not rows.shape == cols.shape == re.shape == im.shape:
         raise InputError("matrix JSON rows, cols, re and im differ in length")
     order = np.lexsort((cols, rows))
     if np.any((np.diff(rows[order]) == 0) & (np.diff(cols[order]) == 0)):
         raise InputError("matrix JSON repeats a (row, col) pair")
-    return sp.csr_array((re + 1j * im, (rows, cols)), shape=(dim, dim))
+    return sp.csr_array((re + 1j * im if im.any() else re, (rows, cols)), shape=(dim, dim))

@@ -8,12 +8,14 @@ states.
 
 A is held as the 1-D array of its diagonal.  Its eigenvectors are basis
 vectors, so U = V_H^dagger with its rows permuted by an ``argsort`` of that
-diagonal, one expression for either kind of V_H.  The one O(d^3)
-decomposition per certificate is ``eigh(H)``, and only for a general H.
-An exactly diagonal H, dense or sparse, is ordered by an ``argsort`` of
-its diagonal instead: V_H and U are then sparse permutations, every T_i a
-CSR diagonal, and a certificate costs O(d).  A sparse H that is not
-diagonal is made dense, within the dimension cap.
+diagonal, one expression for either kind of V_H.
+
+H is the direct sum of its blocks, the connected components of its
+sparsity graph.  One component (a general H) gets one ``eigh``, several
+one stacked ``eigh`` per block size, within the cap on the largest block,
+and then V_H, U and every T_i are block-sparse.  A diagonal H has 1 x 1
+blocks: U is a permutation and a certificate costs O(d).  Every operator
+stays in H's field, so a real H gives real U and T_i.
 
 Verification measures in the original frame from H, U, T and the diagonal
 of A only.  It multiplies each operand in the kind it is given: a sparse
@@ -26,10 +28,12 @@ residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import spectra
 from .errors import InputError, NotIsospectralError
@@ -38,28 +42,38 @@ from .fockspace import (
     TruncationBasis,
     _number_diagonal,
     _synthesized_diagonal,
-    check_dimension,
+    dense_within_cap,
     eigendecompose,
-    is_diagonal,
+    is_hermitian,
 )
 
 UNITARITY_TOL_PER_DIM = 1e-9
 DEFAULT_COMMUTATOR_TOL = 1e-8
 
 
+def _components(M) -> tuple[int, np.ndarray]:
+    """The component count of the square M's sparsity graph M != 0, and each node's label.
+
+    A dense M whose first row has no zero is connected: a general H, in O(d).
+    """
+    if not sp.issparse(M) and M.shape[0] and np.all(M[0] != 0):
+        return 1, np.zeros(M.shape[0], dtype=np.int32)
+    return connected_components(sp.csr_array(M != 0), directed=False)
+
+
 def _diagonal(A, name: str = "A") -> np.ndarray:
     """Real diagonal of A, given as that 1-D diagonal or as a diagonal matrix.
 
-    The matrix may be dense or sparse.  Rejects what ``eigendecompose``
-    rejects of a diagonal matrix: entries that are not finite, and a
-    Hermiticity defect above HERMITICITY_RTOL.  Always a copy, so no dense
-    A outlives the caller's reference to it.
+    The matrix may be dense or sparse, and it is diagonal when every
+    component of its sparsity graph has one node.  Rejects entries that are
+    not finite, and a Hermiticity defect above HERMITICITY_RTOL.  Always a
+    copy, so no dense A outlives the caller's reference to it.
     """
     arr = A if sp.issparse(A) else np.asarray(A)
     if arr.ndim == 2:
         if arr.shape[0] != arr.shape[1]:
             raise InputError(f"{name} must be square, got shape {arr.shape}")
-        if not is_diagonal(arr):
+        if _components(arr)[0] != arr.shape[0]:
             raise InputError(f"{name} must be diagonal")
         diag = arr.diagonal()
     elif arr.ndim == 1:
@@ -77,34 +91,48 @@ def _diagonal(A, name: str = "A") -> np.ndarray:
     return diag.real.astype(float)
 
 
-def _hamiltonian(H):
-    """H as certification works on it: CSR for an exactly diagonal H, dense
-    or sparse, and a dense complex array for any other H."""
-    if not sp.issparse(H):
-        H = np.asarray(H, dtype=complex)
-        if H.ndim != 2 or not is_diagonal(H):
-            return H
-    elif not is_diagonal(H):
-        # the one place a sparse H is made dense, so the cap is checked here
-        check_dimension(H.shape[0], remedy="give a smaller matrix")
-        return np.asarray(H.toarray(), dtype=complex)
-    return sp.csr_array(H, dtype=complex)
-
-
 def _eigenpairs(H):
-    """Ascending eigenvalues and eigenvector columns V_H of H as ``_hamiltonian`` gives it.
+    """H as certification works on it, its ascending eigenvalues, and eigenvector columns V_H.
 
-    A dense H gives a dense V_H from ``eigh``.  A CSR H is diagonal and
-    needs no ``eigh``: V_H is the sparse permutation whose column k is the
-    basis vector e_order[k], ``order`` the stable ``argsort`` of the
-    diagonal.  It is held as CSC, so V_H^dagger is CSR.
+    An H of one component comes back dense, with a dense V_H from ``eigh``.
+    An H of several comes back as CSR, with a CSC V_H from one stacked
+    ``eigh`` per block size, so V_H^dagger is CSR.  Equal eigenvalues keep
+    the order of their blocks' first nodes: basis order for 1 x 1 blocks.
     """
-    if not sp.issparse(H):
-        return eigendecompose(H)
-    h = _diagonal(H.diagonal(), "H")
-    order = np.argsort(h, kind="stable")
-    ones = np.ones(h.size)
-    return h[order], sp.csc_array((ones, order, np.arange(h.size + 1)), shape=H.shape)
+    H = H if sp.issparse(H) else np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise InputError(f"H must be a square matrix, got shape {H.shape}")
+    count, labels = _components(H)
+    if count < 2:
+        H = dense_within_cap(H) if sp.issparse(H) else H
+        return (H, *eigendecompose(H))
+    H = sp.csr_array(H)
+    if not np.isfinite(H.data).all():
+        raise InputError("H has entries that are not finite")
+    if not is_hermitian(H):
+        raise InputError("matrix is not Hermitian within tolerance")
+    size = np.bincount(labels)[labels]  # the size of each node's block
+    # the largest blocks first, so they meet the cap first; each block's
+    # nodes together and ascending, so H[nodes][:, nodes] is block-diagonal
+    nodes = np.lexsort((labels, -size))
+    C = H[nodes][:, nodes].tocoo()
+    w, vals, rows, start = [], [], [], 0
+    for s in np.unique(size)[::-1]:
+        k = np.count_nonzero(size == s) // s
+        at = (C.row >= start) & (C.row < start + k * s)
+        # entry (r, c) of block i goes to row i s + r, column c of a (k s) x s stack
+        stack = sp.coo_array((C.data[at], (C.row[at] - start, (C.col[at] - start) % s)),
+                             shape=(k * s, s))
+        wk, Vk = np.linalg.eigh(dense_within_cap(stack).reshape(k, s, s))
+        w.append(wk.ravel())
+        vals.append(Vk.transpose(0, 2, 1).ravel())  # column by column
+        rows.append(np.repeat(start + np.arange(k * s).reshape(k, s), s, axis=0).ravel())
+        start += k * s
+    indptr = np.concatenate(([0], np.cumsum(size[nodes])))
+    V = sp.csc_array((np.concatenate(vals), nodes[np.concatenate(rows)], indptr), shape=H.shape)
+    w = np.concatenate(w)
+    order = np.lexsort((V.indices[indptr[:-1]], w))
+    return H, w[order], V[:, order]
 
 
 def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
@@ -112,8 +140,8 @@ def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
 
     Requires wH and ``a`` to match as multisets within ``tol``.  The k-th
     eigenvector of H goes to the basis position holding the k-th smallest
-    entry of ``a``; ties keep basis order.  U is of V_H's kind: CSR for a
-    sparse V_H, dense for a dense one.
+    entry of ``a``; ties keep basis order.  U is of V_H's kind and field:
+    CSR for a sparse V_H, dense for a dense one.
     """
     if tol is None:
         tol = spectra.default_tolerance(wH, a)
@@ -124,7 +152,7 @@ def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
         )
     # row perm[k] of U is row k of V_H^dagger
     perm = np.argsort(a, kind="stable")
-    return VH.conj().T[np.argsort(perm)].astype(complex, copy=False)
+    return VH.conj().T[np.argsort(perm)]
 
 
 def build_unitary(H, A, tol: float | None = None):
@@ -132,15 +160,14 @@ def build_unitary(H, A, tol: float | None = None):
 
     A is diagonal, given as a matrix or as its 1-D diagonal.  Requires the
     two spectra to match as multisets within ``tol`` (default
-    1e-9 * max(1, spectral range)).  U is a CSR permutation for a sparse
-    diagonal H, and a dense array for any other H.
+    1e-9 * max(1, spectral range)).  U is a CSR array for a sparse H of
+    several components, and a dense array for any other H.
     """
     dense = not sp.issparse(H)
-    H = _hamiltonian(H)
+    H, wH, VH = _eigenpairs(H)
     a = _diagonal(A)
     if H.shape != (a.size, a.size):
         raise InputError(f"dimension mismatch: {H.shape} vs {(a.size, a.size)}")
-    wH, VH = _eigenpairs(H)
     U = _intertwine(wH, VH, a, tol)
     return U.toarray() if dense and sp.issparse(U) else U
 
@@ -151,7 +178,7 @@ def first_integrals(U, basis: TruncationBasis) -> list:
     A sparse U gives CSR T_i, which for a permutation U are diagonal and
     cost O(d) each; a dense U gives dense T_i.
     """
-    U = sp.csr_array(U, dtype=complex) if sp.issparse(U) else np.asarray(U, dtype=complex)
+    U = _operand(U)
     if U.shape != (basis.d, basis.d):
         raise InputError(
             f"unitary dimension {U.shape} does not match basis size {basis.d}"
@@ -168,7 +195,7 @@ class IntegrabilityCertificate:
 
     dim: int
     n_modes: int
-    U: object = field(repr=False)  # from certify: CSR for a diagonal H, else dense
+    U: object = field(repr=False)  # from certify: CSR for an H of several components, else dense
     T: list = field(repr=False)  # from certify: of the same kind as U
     unitarity_defect: float
     intertwining_residual: float | None
@@ -181,19 +208,8 @@ class IntegrabilityCertificate:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_modes": self.n_modes,
-            "unitarity_defect": self.unitarity_defect,
-            "intertwining_residual": self.intertwining_residual,
-            "hermiticity_defect": self.hermiticity_defect,
-            "max_pairwise_commutator": self.max_pairwise_commutator,
-            "max_hamiltonian_commutator": self.max_hamiltonian_commutator,
-            "independence": self.independence,
-            "commutator_tol": self.commutator_tol,
-            "unitarity_tol": self.unitarity_tol,
-            "passed": self.passed,
-        }
+        """Every field but the operators U and T."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
 def _frob(M) -> float:
@@ -235,13 +251,11 @@ def verify_integrability(
 
     Failures are reported in the certificate, never raised.
     """
-    if not sp.issparse(H):
-        H = np.asarray(H, dtype=complex)
-    d = H.shape[0]
-    if H.shape != (d, d) or U.shape != (d, d) or any(Ti.shape != (d, d) for Ti in T):
-        raise InputError("all matrices must share the Hamiltonian's dimension")
     Hop, Uop = _operand(H), _operand(U)
     Tops = [_operand(Ti) for Ti in T]
+    d = Hop.shape[0]
+    if any(X.shape != (d, d) for X in (Hop, Uop, *Tops)):
+        raise InputError("all matrices must share the Hamiltonian's dimension")
 
     # the identity is built after U†U and freed with it, so no dense d×d
     # temporary lives on into the commutators below
@@ -254,10 +268,7 @@ def verify_integrability(
         inter_res = _frob(Uop @ Hop - a[:, None] * Uop)
 
     herm_defect = max(_frob(X - X.conj().T) for X in (Hop, *Tops))
-    max_pair = 0.0
-    for i in range(len(Tops)):
-        for j in range(i + 1, len(Tops)):
-            max_pair = max(max_pair, _hermitian_commutator(Tops[i], Tops[j]))
+    max_pair = max((_hermitian_commutator(X, Y) for X, Y in combinations(Tops, 2)), default=0.0)
     max_ham = max((_hermitian_commutator(Hop, Ti) for Ti in Tops), default=0.0)
 
     # exact integer check: the quantum-number tuples must separate states;
@@ -294,13 +305,12 @@ def certify(H, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCert
     """Full pipeline: synthesize A from ``seq``, intertwine, verify.
 
     ``seq`` defaults to the spectrum of H itself when given as None.  H is
-    decomposed once, with no ``eigh`` when it is diagonal; its eigenpairs
-    serve both as the default ``seq`` and for the intertwiner.  A diagonal
-    H, dense or sparse, is held as CSR and gets a CSR permutation U and CSR
-    diagonal T_i; a sparse H that is not diagonal is made dense first.
+    decomposed once, block by block over its connected components; its
+    eigenpairs serve both as the default ``seq`` and for the intertwiner.
+    An H of several components, dense or sparse, is held as CSR and gets a
+    block-sparse CSR U and CSR T_i; an H of one component is dense.
     """
-    H = _hamiltonian(H)
-    wH, VH = _eigenpairs(H)
+    H, wH, VH = _eigenpairs(H)
     basis = TruncationBasis.build(n_modes, H.shape[0])
     a = _synthesized_diagonal(wH if seq is None else seq, basis)
     U = _intertwine(wH, VH, a, tol)

@@ -26,7 +26,7 @@ DEFAULT_UNFOLD_DEGREE = 3
 KS_PASS_COEFFICIENT = 1.95  # threshold 1.95/sqrt(N), roughly alpha = 0.001
 MIN_SPACINGS = 50  # below this a spacing test is only a tendency check
 MODELS = ("poisson", "goe", "gue")
-HISTOGRAM_BINS = 40  # bins of a spacing test's histogram, on [0, max(4, largest spacing)]
+HISTOGRAM_BINS = 40  # bins of a spacing test's histogram, on [0, max(pi, largest spacing)]
 # raw levels of one block of ensemble trials; with the fit's work arrays a
 # block peaks near 14 times this (3.6 MB at 32 trials of 1000 levels)
 _BLOCK_BYTES = 1 << 18
@@ -107,19 +107,9 @@ def poisson_cdf(s: np.ndarray) -> np.ndarray:
     return 1.0 - np.exp(-np.asarray(s, dtype=float))
 
 
-def wigner_goe_pdf(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    return (np.pi / 2.0) * s * np.exp(-np.pi * s**2 / 4.0)
-
-
 def wigner_goe_cdf(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     return -np.expm1(-np.pi * s**2 / 4.0)
-
-
-def wigner_gue_pdf(s: np.ndarray) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    return (32.0 / np.pi**2) * s**2 * np.exp(-4.0 * s**2 / np.pi)
 
 
 def wigner_gue_cdf(s: np.ndarray) -> np.ndarray:
@@ -214,7 +204,8 @@ def spacing_test(
     _check_spacing_count(s.size, min_count)
     d_plus, d_minus = _ks_rows(s, _MODEL_CDF[model])
     threshold = float(KS_PASS_COEFFICIENT / np.sqrt(s.size))
-    hi = max(4.0, float(s.max()) * (1 + 1e-12))
+    # edges k pi / 40 keep 0.015 from integers: spacings 1 up to rounding keep their bin
+    hi = max(np.pi, float(s.max()) * (1 + 1e-12))
     counts, edges = np.histogram(s, bins=HISTOGRAM_BINS, range=(0.0, hi))
     return SpacingTestReport(
         model=model,

@@ -6,7 +6,8 @@ discrete and box-truncation error negligible for the retained levels.
 The grid is exactly mirror-symmetric, so a 2-D potential that is even in
 x and in y is solved one parity sector at a time (``grid_levels``).
 ``low_spectrum`` takes every H as CSR and picks its solver from the
-structure and the level count alone.
+structure and the level count alone; the dimension cap applies only to
+a matrix it makes dense.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InputError
-from .fockspace import sparse_diagonal
+from .fockspace import dense_within_cap, sparse_diagonal
 from .intertwiner import IntegrabilityCertificate, certify
 
 
@@ -179,13 +180,14 @@ def _check_level_count(m: int, dim: int) -> None:
         raise InputError(f"level count {m} out of range 1..{dim}")
 
 
-def low_spectrum(H, m: int) -> np.ndarray:
+def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
     """The m smallest eigenvalues of a Hermitian matrix, ascending.
 
     A dense H is taken as CSR, so every H meets one dispatch.  A
     tridiagonal H (every 1-D grid) uses the tridiagonal solver: MRRR for
     the whole spectrum and bisection for fewer levels.  Any other H uses
-    the dense solver for all levels or all but one, and shift-invert
+    the dense solver for all levels or all but one, within the dimension
+    ``cap`` (default ``fockspace.dimension_cap()``), and shift-invert
     Lanczos anchored below the spectrum for fewer levels.
     """
     m = int(m)
@@ -203,7 +205,7 @@ def low_spectrum(H, m: int) -> np.ndarray:
             H.diagonal().real, e, select="i", select_range=(0, m - 1)
         )
     if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
-        return np.sort(np.linalg.eigvalsh(H.toarray()))[:m]
+        return np.sort(np.linalg.eigvalsh(dense_within_cap(H, cap, "ask for fewer levels")))[:m]
     # Gershgorin lower bound keeps the shift strictly below the spectrum
     Habs = abs(H)
     row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
@@ -226,27 +228,30 @@ def low_spectrum(H, m: int) -> np.ndarray:
 SECTORS = ("even,even", "even,odd", "odd,even", "odd,odd")  # parity in x, then in y
 
 
-def grid_levels(grid: GridSpec, pot: PotentialSpec, m: int) -> tuple[np.ndarray, dict | None]:
+def grid_levels(
+    grid: GridSpec, pot: PotentialSpec, m: int, cap: int | None = None
+) -> tuple[np.ndarray, dict | None]:
     """The m lowest levels of the FD Hamiltonian, and the levels each parity sector gave.
 
     A 2-D potential that equals its x-mirror and its y-mirror exactly
     commutes with both reflections, so H splits into the four sectors of
     ``SECTORS``, each about a quarter of the grid, solved one at a time.
-    Any other grid is solved whole and its sector map is None.
+    Any other grid is solved whole and its sector map is None.  ``cap``
+    bounds each matrix that ``low_spectrum`` makes dense.
     """
     m = int(m)
     _check_level_count(m, grid.size)
     if grid.dimension == 2:
         V = pot.on_grid(grid).reshape(grid.M, grid.M)
         if np.array_equal(V, V[::-1]) and np.array_equal(V, V[:, ::-1]):
-            return _sector_levels(grid, V, m)
-    return low_spectrum(assemble_sparse(grid, pot), m), None
+            return _sector_levels(grid, V, m, cap)
+    return low_spectrum(assemble_sparse(grid, pot), m, cap), None
 
 
 _FIRST_SECTOR_SHARE = 2  # each sector first solves for ceil(m / this) levels
 
 
-def _sector_levels(grid: GridSpec, V: np.ndarray, m: int) -> tuple[np.ndarray, dict]:
+def _sector_levels(grid: GridSpec, V: np.ndarray, m: int, cap) -> tuple[np.ndarray, dict]:
     """The m lowest levels of -Laplacian + V, V symmetric under x -> -x and y -> -y."""
     # with V = V^T the swap x <-> y maps (even, odd) onto (odd, even)
     source = {label: label for label in SECTORS}
@@ -263,7 +268,7 @@ def _sector_levels(grid: GridSpec, V: np.ndarray, m: int) -> tuple[np.ndarray, d
     pending = solved
     while pending:
         for s in pending:
-            levels[s] = low_spectrum(ops[s], count[s])
+            levels[s] = low_spectrum(ops[s], count[s], cap)
         values = np.concatenate([levels[source[label]] for label in SECTORS])
         order = np.argsort(values, kind="stable")
         cutoff = values[order[m - 1]] if values.size >= m else np.inf

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from spectralforge import pairing
-from spectralforge.classical import ActionTable, classical_value, integrate_flow
+from spectralforge.classical import ActionTable, actions_of, integrate_flow
 from spectralforge.errors import InputError
 
 
@@ -23,9 +23,9 @@ def quadratic_two_mode_table(K=6):
 
 def test_value_examples():
     identity = ActionTable.build(np.arange(8.0), 1, 8)
-    assert classical_value(identity, [1.0], [0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert identity.value_at_actions(actions_of([1.0], [0.0])) == pytest.approx(0.0, abs=1e-12)
     odd = ActionTable.build(2 * np.arange(8.0) + 1, 1, 8)
-    assert classical_value(odd, [np.sqrt(3.0)], [0.0]) == pytest.approx(3.0, abs=1e-10)
+    assert odd.value_at_actions(actions_of([np.sqrt(3.0)], [0.0])) == pytest.approx(3.0, abs=1e-10)
 
 
 def test_value_two_mode_graded_lex_lookup():
@@ -36,7 +36,7 @@ def test_value_two_mode_graded_lex_lookup():
     # actions (0, 1) sit at graded-lex rank 1, so the value is 7
     x = [1.0, np.sqrt(3.0)]
     p = [0.0, 0.0]
-    assert classical_value(table, x, p) == pytest.approx(7.0, abs=1e-10)
+    assert table.value_at_actions(actions_of(x, p)) == pytest.approx(7.0, abs=1e-10)
 
 
 def test_interpolant_exact_at_nodes():
@@ -104,7 +104,7 @@ def test_out_of_domain_rejected():
     with pytest.raises(InputError):
         table.value_at_actions([7.5])
     with pytest.raises(InputError):
-        classical_value(table, [10.0], [10.0])
+        table.value_at_actions(actions_of([10.0], [10.0]))
 
 
 def test_harmonic_flow_exact_circle():

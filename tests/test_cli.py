@@ -183,11 +183,21 @@ def test_bad_set_spec_exit_2(capsys):
 
 
 def test_schrodinger_capacity_exit_3(capsys):
-    code = cli.run(
-        ["schrodinger", "--dimension", "2", "--points", "96", "--potential", "x2y2"]
-    )
+    # every level of the 65 x 65 grid: the largest sector, 33 x 33 = 1089
+    # nodes, would be made dense
+    code = cli.run(["schrodinger", "--dimension", "2", "--points", "65", "--levels", "4225",
+                    "--cap", "1000"])
     assert code == 3
-    assert "capacity" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert _one_error_line(captured, "error: capacity:")
+    assert "matrix dimension 1089 exceeds cap 1000" in captured.err
+
+
+def test_schrodinger_grid_above_cap_is_solved_by_sectors(capsys):
+    # 65 x 65 = 4225 nodes exceed the default cap, but no matrix is made dense
+    code, report = run_report(["schrodinger", "--dimension", "2", "--points", "65",
+                               "--levels", "25", "--no-timestamp"], capsys)
+    assert code == 0 and len(report["levels"]) == 25
 
 
 def test_schrodinger_cap_override_and_out(tmp_path, capsys):
@@ -240,9 +250,9 @@ def test_schrodinger_pipeline_solves_spectrum_once(capsys, monkeypatch):
     calls = []
     solve = schrodinger.low_spectrum
 
-    def counted(H, m):
+    def counted(H, m, cap=None):
         calls.append(m)
-        return solve(H, m)
+        return solve(H, m, cap)
 
     monkeypatch.setattr(schrodinger, "low_spectrum", counted)
     argv = ["schrodinger", "--points", "200", "--levels", "10", "--pipeline",
@@ -341,7 +351,9 @@ def test_classical_start_on_domain_edge_exit_0(tmp_path, capsys):
     assert report["initial_energy"] == pytest.approx(7.0)
 
 
-@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}"], ids=["not_json", "not_utf8"])
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe{}", b'{"dim": 0, "re": [], "im": []}',
+                                     b'{"dim": 0, "rows": [], "cols": [], "re": [], "im": []}'],
+                         ids=["not_json", "not_utf8", "empty_dense", "empty_sparse"])
 def test_verify_malformed_matrix_exit_2(tmp_path, capsys, content):
     matrix = tmp_path / "op.json"
     matrix.write_bytes(content)

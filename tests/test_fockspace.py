@@ -8,6 +8,7 @@ from spectralforge.errors import InputError
 from spectralforge.fockspace import (
     TruncationBasis,
     eigendecompose,
+    is_hermitian,
     matrix_from_json,
     matrix_to_json,
     number_operator,
@@ -188,3 +189,25 @@ def test_sparse_matrix_json_holds_nonzeros_only():
 def test_sparse_matrix_json_rejects_malformed_payload(text):
     with pytest.raises(InputError):
         matrix_from_json(text)
+
+
+def test_matrix_json_with_zero_imaginary_parts_reads_real():
+    X = np.random.default_rng(4).normal(size=(5, 5))
+    for M in (X + X.T, sp.csr_array(X + X.T)):
+        back = matrix_from_json(matrix_to_json(M))
+        assert back.dtype == np.float64 and (back != M).sum() == 0
+        # the writer still gives "im", so a file's bytes do not change
+        assert matrix_to_json(back) == matrix_to_json(M.astype(complex))
+    back = matrix_from_json(matrix_to_json(X + 1j * X.T))
+    assert back.dtype == np.complex128 and np.array_equal(back, X + 1j * X.T)
+
+
+def test_is_hermitian_dense_or_sparse():
+    X = np.random.default_rng(5).normal(size=(6, 6)) + 0j
+    H = X + X.conj().T
+    for M in (H, sp.csr_array(H)):
+        assert is_hermitian(M)
+    H[0, 1] += 1e-6j
+    for M in (H, sp.csr_array(H)):
+        assert not is_hermitian(M)
+    assert not is_hermitian(sp.csr_array(np.ones((2, 3))))

@@ -408,3 +408,84 @@ def test_certify_caps_sparse_non_diagonal_H_before_densifying(monkeypatch):
     # a diagonal H is certified in O(d), with no dense matrix to cap
     cert = certify(sparse_diagonal(np.arange(12.0)), None, 2)
     assert cert.passed and sp.issparse(cert.U)
+
+
+# block path: H splits into the connected components of its sparsity graph
+
+def permuted_blocks(sizes, seed, dtype=complex):
+    """A CSR Hermitian H holding random blocks of ``sizes`` under a random permutation."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for s in sizes:
+        X = rng.normal(size=(s, s)) + (1j * rng.normal(size=(s, s)) if dtype is complex else 0)
+        blocks.append((X + X.conj().T) / 2 + 3.0 * np.eye(s))  # no zero on a 1 x 1 block
+    P = rng.permutation(sum(sizes))
+    return sp.csr_array(sp.block_diag(blocks, format="csr")[P][:, P])
+
+
+def test_block_H_certificate_matches_dense_reference(monkeypatch):
+    sizes = [1, 1, 2, 3, 5, 5, 8, 13, 21, 40, 1, 40]
+    H = permuted_blocks(sizes, 31)
+    d, basis = H.shape[0], TruncationBasis.build(3, H.shape[0])
+
+    def no_eigh(M):
+        raise AssertionError("a block H must not be decomposed whole")
+
+    monkeypatch.setattr(intertwiner, "eigendecompose", no_eigh)
+    cert = certify(H, None, 3)
+    assert cert.passed and sp.issparse(cert.U) and all(sp.issparse(Ti) for Ti in cert.T)
+    assert cert.U.nnz == sum(s * s for s in sizes)
+    dense = H.toarray()
+    w = np.linalg.eigvalsh(dense)
+    assert_matches_dense(cert, dense_certificate(dense, cert.U.toarray(),
+                                                 [Ti.toarray() for Ti in cert.T],
+                                                 np.diag(w), basis))
+    U = cert.U.toarray()
+    assert np.abs(U @ dense @ U.conj().T - np.diag(w)).max() <= 1e-12 * d
+
+
+def test_block_H_above_cap_certifies_without_dense_H(monkeypatch):
+    H = permuted_blocks([1, 7, 40, 12, 40, 33, 2], 32)
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("H was made dense")
+
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "40")
+    monkeypatch.setattr(sp.csr_array, "toarray", no_dense)
+    cert = certify(H, None, 2)
+    assert H.shape[0] > 40 and cert.passed
+
+
+def test_largest_block_above_cap_is_refused(monkeypatch):
+    H = permuted_blocks([6, 12, 1], 33)
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "11")
+    with pytest.raises(CapacityError, match="matrix dimension 12 exceeds cap 11"):
+        certify(H, None, 2)
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "12")
+    assert certify(H, None, 2).passed
+
+
+@pytest.mark.parametrize("entry, message", [(np.nan, "not finite"),
+                                            (1.0 + 1e-6j, "not Hermitian")],
+                         ids=["nan", "complex"])
+def test_csr_diagonal_entry_refused_with_its_message(entry, message):
+    h = np.arange(1.0, 9.0).astype(complex)
+    h[3] = entry
+    with pytest.raises(InputError, match=message):
+        certify(sparse_diagonal(h), None, 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (lambda X: (X + X.T) / 2)(np.random.default_rng(34).normal(size=(200, 200))),
+    lambda: permuted_blocks([1, 3, 16, 40, 40, 100], 35, dtype=float),
+], ids=["dense", "block_csr"])
+def test_real_H_certifies_in_its_own_field(make):
+    H = make()
+    real, cast = certify(H, None, 3), certify(H.astype(complex), None, 3)
+    assert real.passed and cast.passed
+    assert not np.iscomplexobj(real.U) and not any(np.iscomplexobj(Ti) for Ti in real.T)
+    assert np.iscomplexobj(cast.U) and all(np.iscomplexobj(Ti) for Ti in cast.T)
+    got, ref = real.to_dict(), cast.to_dict()
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        assert abs(got[key] - value) <= 1e-12, key

@@ -90,8 +90,11 @@ def test_gue_cdf_matches_quadrature():
     # independent oracle: integrate the surmise density numerically
     from scipy.integrate import quad
 
+    def gue_pdf(s):
+        return (32.0 / np.pi**2) * s**2 * np.exp(-4.0 * s**2 / np.pi)
+
     for s in (0.2, 0.7, 1.0, 2.3):
-        expected, _ = quad(ls.wigner_gue_pdf, 0.0, s)
+        expected, _ = quad(gue_pdf, 0.0, s)
         assert ls.wigner_gue_cdf(s) == pytest.approx(expected, abs=1e-12)
 
 
@@ -146,6 +149,16 @@ def test_spacing_report_histogram_and_serialization():
     csv = report.histogram_csv()
     assert csv.startswith("bin_left,bin_right,count")
     assert len(csv.strip().splitlines()) == report.bin_counts.size + 1
+
+
+def test_rigid_spectrum_histogram_is_stable_under_rounding():
+    # the spacings of 0..399 are 1 up to rounding, which no bin edge touches
+    levels = np.arange(400.0)
+    noise = 1e-13 * np.random.default_rng(31).uniform(-1.0, 1.0, levels.size)
+    counts = [ls.spacing_test(ls.unfold(x), "poisson").bin_counts
+              for x in (levels, levels + noise)]
+    assert np.array_equal(counts[0], counts[1])
+    assert counts[0].max() == levels.size - 1
 
 
 def test_spacing_test_sample_floor():
@@ -307,8 +320,11 @@ def test_spacing_gap_fails_two_sided_test():
 def test_goe_cdf_matches_quadrature():
     from scipy.integrate import quad
 
+    def goe_pdf(s):
+        return (np.pi / 2.0) * s * np.exp(-np.pi * s**2 / 4.0)
+
     for s in (0.2, 0.7, 1.0, 2.3, 5.0):
-        expected, _ = quad(ls.wigner_goe_pdf, 0.0, s)
+        expected, _ = quad(goe_pdf, 0.0, s)
         assert ls.wigner_goe_cdf(s) == pytest.approx(expected, abs=1e-12)
 
 

@@ -247,9 +247,9 @@ def _counted_solves(monkeypatch):
     calls = []
     solve = schrodinger.low_spectrum
 
-    def counted(H, m):
+    def counted(H, m, cap=None):
         calls.append((H.shape[0], m))
-        return solve(H, m)
+        return solve(H, m, cap)
 
     monkeypatch.setattr(schrodinger, "low_spectrum", counted)
     return calls
@@ -288,3 +288,20 @@ def test_grid_levels_range_check():
         grid_levels(GridSpec(2, 8.0, 16), PotentialSpec.harmonic(), 257)
     with pytest.raises(InputError, match="out of range"):
         grid_levels(GridSpec(2, 8.0, 16), PotentialSpec.harmonic(), 0)
+
+
+@pytest.mark.parametrize("m", [255, 256])
+def test_low_spectrum_caps_the_dense_solve_before_making_it(monkeypatch, m):
+    H = assemble_sparse(GridSpec(2, 8.0, 16), PotentialSpec.harmonic())
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("H was made dense before the cap was checked")
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
+    with pytest.raises(CapacityError, match="matrix dimension 256 exceeds cap 100"):
+        low_spectrum(H, m, cap=100)
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "255")
+    with pytest.raises(CapacityError, match="matrix dimension 256 exceeds cap 255"):
+        low_spectrum(H, m)
+    # fewer levels are solved by Lanczos, with no dense matrix
+    assert low_spectrum(H, 10).size == 10
