@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import pairing
 from .errors import InputError
@@ -46,6 +45,8 @@ class ActionTable:
 
     @classmethod
     def build(cls, seq, n: int, K: int) -> "ActionTable":
+        from scipy.interpolate import CubicSpline  # loaded on use: only the flow splines
+
         n = int(n)
         K = int(K)
         if n not in (1, 2):

@@ -99,16 +99,17 @@ def _eigenpairs(H):
     ``eigh`` per block size, so V_H^dagger is CSR.  Equal eigenvalues keep
     the order of their blocks' first nodes: basis order for 1 x 1 blocks.
     """
-    H = H if sp.issparse(H) else np.asarray(H)
+    H = sp.csr_array(H) if sp.issparse(H) else np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"H must be a square matrix, got shape {H.shape}")
+    # before any arithmetic on H, so one message covers NaN and inf in every path
+    if not np.isfinite(H.data if sp.issparse(H) else H).all():
+        raise InputError("H has entries that are not finite")
     count, labels = _components(H)
     if count < 2:
         H = dense_within_cap(H) if sp.issparse(H) else H
         return (H, *eigendecompose(H))
     H = sp.csr_array(H)
-    if not np.isfinite(H.data).all():
-        raise InputError("H has entries that are not finite")
     if not is_hermitian(H):
         raise InputError("matrix is not Hermitian within tolerance")
     size = np.bincount(labels)[labels]  # the size of each node's block

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import InputError
 from .spectra import as_spectrum
@@ -113,6 +112,8 @@ def wigner_goe_cdf(s: np.ndarray) -> np.ndarray:
 
 
 def wigner_gue_cdf(s: np.ndarray) -> np.ndarray:
+    from scipy.special import erf  # loaded on use: only the GUE law needs scipy.special
+
     s = np.asarray(s, dtype=float)
     return erf(2.0 * s / np.sqrt(np.pi)) - (4.0 * s / np.pi) * np.exp(
         -4.0 * s**2 / np.pi

@@ -20,7 +20,6 @@ from itertools import accumulate
 from math import pi
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import CapacityError, InputError
 from .spectra import read_values
@@ -33,6 +32,8 @@ _SCAN_START = 3.0  # Z has no zeros below the first one near t = 14.13
 
 def siegel_theta(t) -> np.ndarray:
     """Riemann-Siegel theta: Im log Gamma(1/4 + it/2) - (t/2) log pi."""
+    from scipy.special import loggamma  # loaded on use: only zeta needs scipy.special
+
     t = np.asarray(t, dtype=float)
     return loggamma(0.25 + 0.5j * t).imag - 0.5 * t * np.log(pi)
 

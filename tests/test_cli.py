@@ -263,15 +263,52 @@ def test_schrodinger_pipeline_solves_spectrum_once(capsys, monkeypatch):
     assert calls == [10]
 
 
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's src/ first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 @pytest.mark.parametrize("module", ["spectralforge", "spectralforge.cli"])
 def test_python_m_help(module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", module, "--help"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0
     assert "spectral-forge" in proc.stdout
+
+
+_DEFERRED_IMPORTS_SCRIPT = """
+import json, sys
+import spectralforge.cli
+from spectralforge import classical, levelstats, zeta
+loaded = [m for m in ("scipy.interpolate", "scipy.special") if m in sys.modules]
+table = classical.ActionTable.build([0.0, 1.0, 3.0, 4.0, 7.0], 1, 5)
+print(json.dumps({"loaded_by_cli": loaded,
+                  "coeffs": table.coeffs.tolist(),
+                  "theta": zeta.siegel_theta([14.134725, 20.0, 50.0]).tolist(),
+                  "gue": levelstats.wigner_gue_cdf([0.5, 1.0, 2.0]).tolist()}))
+"""
+
+
+def test_cli_import_defers_interpolate_and_special():
+    """``import spectralforge.cli`` leaves scipy.interpolate and scipy.special
+    unloaded, and the three functions that load them on use still compute."""
+    proc = subprocess.run([sys.executable, "-c", _DEFERRED_IMPORTS_SCRIPT],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded_by_cli"] == []
+    # the values before the imports moved, on numpy 2.4.6 and scipy 1.17.1
+    np.testing.assert_allclose(out["coeffs"], [
+        [-0.541666666666667, 2.125000000000001, -0.5833333333333339, 0.0],
+        [-0.5416666666666665, 0.49999999999999956, 2.041666666666667, 1.0],
+        [0.7083333333333335, -1.125, 1.4166666666666665, 3.0],
+        [0.708333333333333, 1.0, 1.291666666666667, 4.0]], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(
+        out["theta"], [-1.7286703041172755, 1.1868948084444835, 26.461366070161414], rtol=1e-12)
+    np.testing.assert_allclose(
+        out["gue"], [0.11199971378298262, 0.5330502005906137, 0.982949876829839], rtol=1e-12)
 
 
 def test_zeta_comparative_report(zeros_file, capsys):
@@ -532,12 +569,9 @@ def test_zero_count_is_range_checked_exit_2(capsys, argv, names):
 def test_empty_potential_csv_one_stderr_line(tmp_path):
     table = tmp_path / "empty.csv"
     table.write_text("")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "spectralforge", "schrodinger", "--points",
                            "16", "--potential", f"csv:{table}"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     # no numpy warning before the error line
     lines = proc.stderr.splitlines()

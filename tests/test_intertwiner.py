@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -473,6 +474,21 @@ def test_csr_diagonal_entry_refused_with_its_message(entry, message):
     h[3] = entry
     with pytest.raises(InputError, match=message):
         certify(sparse_diagonal(h), None, 2)
+
+
+@pytest.mark.parametrize("layout", ["dense_connected", "dense_blocks", "csr"])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_H_refused_with_one_message_and_no_warning(entry, layout):
+    H = np.ones((6, 6)) + np.diag(np.arange(6.0))
+    if layout == "dense_blocks":
+        H[:3, 3:] = H[3:, :3] = 0.0
+    H[1, 2] = H[2, 1] = entry  # a symmetric pair, so only finiteness is wrong
+    if layout == "csr":
+        H = sp.csr_array(H)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="^H has entries that are not finite$"):
+            certify(H, None, 2)
 
 
 @pytest.mark.parametrize("make", [
