@@ -10,20 +10,25 @@ The not-a-knot spline is built once, as a table of power-basis
 coefficients per unit cell, and every evaluation reads that table with
 Horner's rule: in numpy for values and gradients at many points, and on
 plain Python floats inside the RK4 loop, which makes no numpy call per step.
+That loop is unrolled once per mode count on the flat state (x1, p1[, x2, p2]),
+so a step builds no list or tuple of pairs; the path is one flat list of
+floats, reshaped once at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from . import pairing
-from .errors import InputError
+from .errors import CapacityError, InputError
 from .spectra import as_spectrum
 
 NODE_MATCH_TOL = 1e-12
 FLOW_DOMAIN_TOL = 1e-6
+MAX_FLOW_STEPS = 10**7  # about 1.3 GB of path as Python floats
 _DERIVATIVE_WEIGHTS = np.array([3.0, 2.0, 1.0])  # d/dt of t^3, t^2, t
 
 
@@ -122,10 +127,11 @@ class ActionTable:
     def _float_frequencies(self):
         """The frequencies w_i = dE/dJ_i at a phase point, on Python floats.
 
-        The returned function takes the n (x_i, p_i) pairs of a phase point,
-        clips their actions to the table domain and evaluates the same
-        Horner scheme as ``gradient_at_actions`` without numpy, for the
-        flow's inner loop.
+        The returned function takes the phase point as flat floats
+        (x1, p1[, x2, p2]), clips each action to the table domain and
+        evaluates the same Horner scheme as ``gradient_at_actions`` without
+        numpy, for the flow's inner loop.  It returns the n frequencies as
+        a tuple.
         """
         lo, hi, last = 0.0, float(self.K - 1), self.K - 2
         cells = self.coeffs.reshape(self.coeffs.shape[: self.n] + (-1,)).tolist()
@@ -138,16 +144,14 @@ class ActionTable:
 
         if self.n == 1:
 
-            def frequencies(modes):
-                ((x, p),) = modes
+            def frequencies(x, p):
                 i, u = cell(x, p)
                 c0, c1, c2, _ = cells[i]
                 return ((3.0 * c0 * u + 2.0 * c1) * u + c2,)
 
             return frequencies
 
-        def frequencies(modes):
-            (x1, p1), (x2, p2) = modes
+        def frequencies(x1, p1, x2, p2):
             i, u = cell(x1, p1)
             j, v = cell(x2, p2)
             (a0, a1, a2, a3, b0, b1, b2, b3,
@@ -207,6 +211,64 @@ class FlowReport:
         return "\n".join(lines) + "\n"
 
 
+def _rk4_one_mode(frequencies, x, p, dt, steps, lo, hi):
+    """RK4 on the phase point (x, p); returns the flat path and the truncation flag.
+
+    A step whose action leaves [lo, hi] is rejected and ends the path.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    path = [x, p]
+    for _ in range(steps):
+        (w,) = frequencies(x, p)
+        a1, b1 = w * p, -w * x
+        u, v = x + half * a1, p + half * b1
+        (w,) = frequencies(u, v)
+        a2, b2 = w * v, -w * u
+        u, v = x + half * a2, p + half * b2
+        (w,) = frequencies(u, v)
+        a3, b3 = w * v, -w * u
+        u, v = x + dt * a3, p + dt * b3
+        (w,) = frequencies(u, v)
+        a4, b4 = w * v, -w * u
+        u = x + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+        v = p + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+        if not lo <= 0.5 * (u * u + v * v - 1.0) <= hi:
+            return path, True
+        x, p = u, v
+        path += (x, p)
+    return path, False
+
+
+def _rk4_two_modes(frequencies, x1, p1, x2, p2, dt, steps, lo, hi):
+    """RK4 on the phase point (x1, p1, x2, p2), as ``_rk4_one_mode`` for two modes."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    path = [x1, p1, x2, p2]
+    for _ in range(steps):
+        w1, w2 = frequencies(x1, p1, x2, p2)
+        a1, b1, c1, d1 = w1 * p1, -w1 * x1, w2 * p2, -w2 * x2
+        u1, v1, u2, v2 = x1 + half * a1, p1 + half * b1, x2 + half * c1, p2 + half * d1
+        w1, w2 = frequencies(u1, v1, u2, v2)
+        a2, b2, c2, d2 = w1 * v1, -w1 * u1, w2 * v2, -w2 * u2
+        u1, v1, u2, v2 = x1 + half * a2, p1 + half * b2, x2 + half * c2, p2 + half * d2
+        w1, w2 = frequencies(u1, v1, u2, v2)
+        a3, b3, c3, d3 = w1 * v1, -w1 * u1, w2 * v2, -w2 * u2
+        u1, v1, u2, v2 = x1 + dt * a3, p1 + dt * b3, x2 + dt * c3, p2 + dt * d3
+        w1, w2 = frequencies(u1, v1, u2, v2)
+        a4, b4, c4, d4 = w1 * v1, -w1 * u1, w2 * v2, -w2 * u2
+        u1 = x1 + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+        v1 = p1 + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
+        u2 = x2 + sixth * (c1 + 2 * c2 + 2 * c3 + c4)
+        v2 = p2 + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+        if not (
+            lo <= 0.5 * (u1 * u1 + v1 * v1 - 1.0) <= hi
+            and lo <= 0.5 * (u2 * u2 + v2 * v2 - 1.0) <= hi
+        ):
+            return path, True
+        x1, p1, x2, p2 = u1, v1, u2, v2
+        path += (x1, p1, x2, p2)
+    return path, False
+
+
 def integrate_flow(
     table: ActionTable, x0, p0, T: float, dt: float | None = None
 ) -> FlowReport:
@@ -215,65 +277,40 @@ def integrate_flow(
     Hamilton's equations reduce to xdot_i = w_i(J) p_i, pdot_i = -w_i(J) x_i
     with w_i the partial derivative of the table interpolant.  Reports the
     worst action and energy drift along the trajectory; leaving the
-    interpolant domain truncates the trajectory and sets a flag.
+    interpolant domain truncates the trajectory and sets a flag.  More than
+    ``MAX_FLOW_STEPS`` steps is refused before anything is allocated.
     """
     if dt is None:
         dt = 1e-2 / table.characteristic_frequency()
     dt = float(dt)
     T = float(T)
+    if not (isfinite(dt) and isfinite(T)):
+        raise InputError(f"dt and T must be finite, got dt={dt!r}, T={T!r}")
     if dt <= 0 or T < dt:
         raise InputError("require dt > 0 and T >= dt")
+    if T / dt > MAX_FLOW_STEPS:
+        raise CapacityError(
+            f"T / dt = {T / dt:.6g} steps exceeds the flow's cap of {MAX_FLOW_STEPS}"
+        )
+    steps = int(round(T / dt))
 
     n = table.n
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     p = np.atleast_1d(np.asarray(p0, dtype=float))
     if x.size != n or p.size != n:
         raise InputError(f"phase point must have {n} positions and momenta")
-    modes = list(zip(x.tolist(), p.tolist()))  # the state: n (x_i, p_i) pairs
 
     lo, hi = 0.0, float(table.K - 1)
-    frequencies = table._float_frequencies()
-
-    def in_domain(modes):
-        # integrator roundoff may push actions a hair past the nodes; evaluation
-        # clips, so only genuine excursions should truncate the trajectory
-        return all(
-            lo - FLOW_DOMAIN_TOL <= 0.5 * (x * x + p * p - 1.0) <= hi + FLOW_DOMAIN_TOL
-            for x, p in modes
-        )
-
-    if not in_domain(modes):
+    # integrator roundoff may push actions a hair past the nodes; evaluation
+    # clips, so only genuine excursions should truncate the trajectory
+    lo_edge, hi_edge = lo - FLOW_DOMAIN_TOL, hi + FLOW_DOMAIN_TOL
+    J0 = 0.5 * (x * x + p * p - 1.0)
+    if not ((lo_edge <= J0) & (J0 <= hi_edge)).all():
         raise InputError("initial actions outside the interpolant domain")
 
-    def rhs(modes):
-        return [(w * p, -w * x) for w, (x, p) in zip(frequencies(modes), modes)]
-
-    def shifted(modes, h, k):
-        return [(x + h * kx, p + h * kp) for (x, p), (kx, kp) in zip(modes, k)]
-
-    half, sixth = 0.5 * dt, dt / 6.0
-    steps = int(round(T / dt))
-    path = list(modes)  # the (x_i, p_i) pairs of every accepted step
-    truncated = False
-    for _ in range(steps):
-        k1 = rhs(modes)
-        k2 = rhs(shifted(modes, half, k1))
-        k3 = rhs(shifted(modes, half, k2))
-        k4 = rhs(shifted(modes, dt, k3))
-        new = [
-            (
-                x + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
-                p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
-            )
-            for (x, p), (a1, b1), (a2, b2), (a3, b3), (a4, b4) in zip(
-                modes, k1, k2, k3, k4
-            )
-        ]
-        if not in_domain(new):
-            truncated = True
-            break
-        modes = new
-        path += modes
+    state = np.column_stack([x, p]).ravel().tolist()  # flat (x1, p1[, x2, p2])
+    rk4 = _rk4_one_mode if n == 1 else _rk4_two_modes
+    path, truncated = rk4(table._float_frequencies(), *state, dt, steps, lo_edge, hi_edge)
 
     phase = np.array(path).reshape(-1, n, 2)
     xs = phase[:, :, 0]

@@ -7,6 +7,12 @@ Chebyshev-coefficient scheme; theta comes from the log-Gamma function.
 The evaluator is desk-scale: accuracy is guaranteed only up to t ~ 250,
 which covers the first 100 zeros.
 
+The eta sum is a Dirichlet sum, sum_k a_k k^(-1/2) k^(-it).  The factor
+k^(-it) is completely multiplicative, so only the primes p <= n pay a
+complex ``exp``; every composite k is the product of the rows of its
+smallest prime factor and of k / spf(k), filled level by level in the
+number of prime factors.  The k^(-1/2) factor lives in the weights.
+
 ``compute_zeros`` scans Z on a grid for sign changes, then bisects all the
 brackets together, so each halving is one vectorized ``hardy_z`` call over
 every bracket still open.
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import pi
+from math import isqrt, pi
 
 import numpy as np
 
@@ -55,18 +61,52 @@ def _eta_terms(n: int) -> np.ndarray:
     return -signs * coeffs  # term k multiplies (k+1)^(-s)
 
 
+@lru_cache(maxsize=8)
+def _eta_plan(n: int):
+    """The n-term eta sum as a multiplicative plan over k = 1..n.
+
+    Rows are ordered by Omega(k), the number of prime factors with
+    multiplicity: k = 1, then the primes, then one block per level.  Returns
+    -log p for the prime rows, one (start, stop, spf_rows, cofactor_rows)
+    gather per composite level, and the weights w_k k^(-1/2) in row order.
+    """
+    spf = np.zeros(n + 1, dtype=np.intp)  # smallest prime factor; primes keep 0 here
+    for p in range(2, isqrt(n) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    spf = np.where(spf == 0, np.arange(n + 1), spf)
+    omega = np.zeros(n + 1, dtype=np.intp)
+    for j in range(2, n + 1):
+        omega[j] = omega[j // spf[j]] + 1
+    order = np.argsort(omega[1:], kind="stable") + 1  # k values in row order
+    row = np.empty(n + 1, dtype=np.intp)
+    row[order] = np.arange(n)
+    levels = []
+    for level in range(2, int(omega.max()) + 1):
+        ks = order[omega[order] == level]
+        start = int(row[ks[0]])
+        levels.append((start, start + ks.size, row[spf[ks]], row[ks // spf[ks]]))
+    primes = order[omega[order] == 1]
+    weights = _eta_terms(n)[order - 1] / np.sqrt(order)
+    return -np.log(primes), tuple(levels), weights
+
+
 def zeta_half_line(t) -> np.ndarray:
     """zeta(1/2 + it) for real t, vectorized."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     # term count from Borwein's error bound, quantized for coefficient reuse
     n = int(0.9 * float(np.abs(t).max())) + 30
     n = 64 * ((n + 63) // 64)
-    weights = _eta_terms(n)  # (n,)
-    k = np.arange(1, n + 1, dtype=float)
+    neg_log_p, levels, weights = _eta_plan(n)
+    # row r holds k^(-it) for the r-th k of the plan, shaped (n, t)
+    rows = np.empty((n, t.size), dtype=complex)
+    rows[0] = 1.0
+    rows[1 : 1 + neg_log_p.size] = np.exp(1j * np.outer(neg_log_p, t))
+    for start, stop, spf_rows, cofactor_rows in levels:
+        np.multiply(rows[spf_rows], rows[cofactor_rows], out=rows[start:stop])
+    eta = weights @ rows
     s = 0.5 + 1j * t
-    # (k+0)^(-s) = exp(-s log k), shaped (t, n)
-    powers = np.exp(-np.outer(s, np.log(k)))
-    eta = powers @ weights
     return eta / (1.0 - 2.0 ** (1.0 - s))
 
 

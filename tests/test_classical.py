@@ -3,8 +3,14 @@ import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from spectralforge import pairing
-from spectralforge.classical import ActionTable, actions_of, integrate_flow
-from spectralforge.errors import InputError
+from spectralforge.classical import (
+    FLOW_DOMAIN_TOL,
+    MAX_FLOW_STEPS,
+    ActionTable,
+    actions_of,
+    integrate_flow,
+)
+from spectralforge.errors import CapacityError, InputError
 
 
 def quadratic_two_mode_table(K=6):
@@ -95,8 +101,112 @@ def test_flow_evaluator_equals_gradient_at_actions(n, K):
     radius = np.sqrt(K)  # actions up to K - 1/2, past the last node
     for x, p in rng.uniform(0.0, radius, size=(200, 2, n)):
         J = np.clip(0.5 * (x**2 + p**2 - 1.0), 0.0, K - 1.0)
-        got = frequencies(list(zip(x.tolist(), p.tolist())))
+        got = frequencies(*np.column_stack([x, p]).ravel().tolist())
         assert np.array_equal(got, table.gradient_at_actions(J))
+
+
+def list_of_pairs_flow(table, x0, p0, T, dt=None):
+    """The RK4 loop on a state of n (x_i, p_i) pairs that ``integrate_flow``
+    replaced with unrolled loops on flat floats; returns xs, ps, energies
+    and the truncation flag."""
+    if dt is None:
+        dt = 1e-2 / table.characteristic_frequency()
+    flat = table._float_frequencies()
+
+    def frequencies(modes):
+        return flat(*[v for pair in modes for v in pair])
+
+    lo, hi = 0.0, float(table.K - 1)
+
+    def in_domain(modes):
+        return all(
+            lo - FLOW_DOMAIN_TOL <= 0.5 * (x * x + p * p - 1.0) <= hi + FLOW_DOMAIN_TOL
+            for x, p in modes
+        )
+
+    def rhs(modes):
+        return [(w * p, -w * x) for w, (x, p) in zip(frequencies(modes), modes)]
+
+    def shifted(modes, h, k):
+        return [(x + h * kx, p + h * kp) for (x, p), (kx, kp) in zip(modes, k)]
+
+    modes = list(zip(np.atleast_1d(x0).tolist(), np.atleast_1d(p0).tolist()))
+    half, sixth = 0.5 * dt, dt / 6.0
+    path = list(modes)
+    truncated = False
+    for _ in range(int(round(T / dt))):
+        k1 = rhs(modes)
+        k2 = rhs(shifted(modes, half, k1))
+        k3 = rhs(shifted(modes, half, k2))
+        k4 = rhs(shifted(modes, dt, k3))
+        new = [
+            (
+                x + sixth * (a1 + 2 * a2 + 2 * a3 + a4),
+                p + sixth * (b1 + 2 * b2 + 2 * b3 + b4),
+            )
+            for (x, p), (a1, b1), (a2, b2), (a3, b3), (a4, b4) in zip(
+                modes, k1, k2, k3, k4
+            )
+        ]
+        if not in_domain(new):
+            truncated = True
+            break
+        modes = new
+        path += modes
+    phase = np.array(path).reshape(-1, table.n, 2)
+    xs, ps = phase[:, :, 0], phase[:, :, 1]
+    actions = 0.5 * (xs**2 + ps**2 - 1.0)
+    energies = table._evaluate(np.clip(actions, lo, hi), (0,) * table.n)
+    return xs, ps, energies, truncated
+
+
+@pytest.mark.parametrize(
+    "n, K, J0, T, dt, truncates",
+    [
+        (1, 9, [2.3], 30.0, 0.01, False),
+        (2, 7, [1.2, 3.4], 30.0, 0.01, False),
+        (1, 9, [0.3], 20.0, 0.3, True),  # the orbit shrinks below J = 0
+        (2, 7, [5.9, 0.5], 20.0, 0.3, True),
+        (1, 9, [2.3], 10.0, None, False),
+        (2, 7, [1.2, 3.4], 10.0, None, False),
+    ],
+    ids=["one_mode", "two_modes", "one_mode_truncates", "two_modes_truncates",
+         "one_mode_default_dt", "two_modes_default_dt"],
+)
+def test_flow_is_bit_identical_to_list_of_pairs_oracle(n, K, J0, T, dt, truncates):
+    rng = np.random.default_rng(14)
+    d = pairing.encode((K - 1,) * n) + 1
+    table = ActionTable.build(np.sort(rng.uniform(0.0, 30.0, size=d)), n, K)
+    x0 = np.sqrt(2 * np.array(J0) + 1) * np.cos(0.3)
+    p0 = np.sqrt(2 * np.array(J0) + 1) * np.sin(0.3)
+    report = integrate_flow(table, x0, p0, T=T, dt=dt)
+    xs, ps, energies, truncated = list_of_pairs_flow(table, x0, p0, T, dt)
+    assert report.truncated == truncated == truncates
+    assert report.times.size > 10
+    assert np.array_equal(report.xs, xs)
+    assert np.array_equal(report.ps, ps)
+    assert np.array_equal(report.energies, energies)
+
+
+@pytest.mark.parametrize("T, dt", [(1.0, float("nan")), (float("nan"), 0.01),
+                                   (float("inf"), 0.01), (1.0, float("-inf"))])
+def test_non_finite_time_or_step_rejected(T, dt):
+    table = ActionTable.build(np.arange(8.0), 1, 8)
+    with pytest.raises(InputError, match="finite"):
+        integrate_flow(table, [1.0], [0.0], T=T, dt=dt)
+
+
+def test_step_count_capped_before_the_loop(monkeypatch):
+    table = ActionTable.build(np.arange(8.0), 1, 8)
+
+    def no_loop(self):
+        raise AssertionError("the flow started")
+
+    monkeypatch.setattr(ActionTable, "_float_frequencies", no_loop)
+    with pytest.raises(CapacityError, match="cap"):
+        integrate_flow(table, [1.0], [0.0], T=1.0, dt=1e-300)
+    with pytest.raises(CapacityError):
+        integrate_flow(table, [1.0], [0.0], T=MAX_FLOW_STEPS + 1.0, dt=1.0)
 
 
 def test_out_of_domain_rejected():

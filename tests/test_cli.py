@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spectralforge import cli, schrodinger, zeta
+from spectralforge import classical, cli, schrodinger, zeta
 from spectralforge.fockspace import matrix_to_json
 
 
@@ -564,6 +564,32 @@ def test_zero_count_is_range_checked_exit_2(capsys, argv, names):
     assert cli.run(argv) == 2
     captured = capsys.readouterr()
     assert _one_error_line(captured) and names in captured.err
+
+
+@pytest.mark.parametrize("flags", [["--dt", "nan"], ["--time", "nan"], ["--time", "inf"]],
+                         ids=["dt_nan", "time_nan", "time_inf"])
+def test_classical_non_finite_step_or_time_exit_2(tmp_path, capsys, flags):
+    spectrum = tmp_path / "levels.txt"
+    spectrum.write_text("\n".join(str(float(i)) for i in range(8)) + "\n")
+    argv = ["classical", "--spectrum", str(spectrum), "--modes", "1", "--nodes", "8"]
+    assert cli.run(argv + flags) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "must be finite" in captured.err
+
+
+def test_classical_step_count_cap_exit_3_before_the_loop(tmp_path, capsys, monkeypatch):
+    spectrum = tmp_path / "levels.txt"
+    spectrum.write_text("\n".join(str(float(i)) for i in range(8)) + "\n")
+
+    def no_loop(self):
+        raise AssertionError("the flow started")
+
+    monkeypatch.setattr(classical.ActionTable, "_float_frequencies", no_loop)
+    argv = ["classical", "--spectrum", str(spectrum), "--modes", "1", "--nodes", "8",
+            "--dt", "1e-300", "--time", "1"]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert _one_error_line(captured, "error: capacity:") and "exceeds" in captured.err
 
 
 def test_empty_potential_csv_one_stderr_line(tmp_path):

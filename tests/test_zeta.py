@@ -56,6 +56,55 @@ def test_borwein_coefficients_match_rational_formula(n):
     assert np.array_equal(zeta._borwein_coefficients(n), _fraction_borwein_coefficients(n))
 
 
+def direct_zeta_half_line(t):
+    """The direct eta sum exp(-outer(s, log k)) @ w, one complex exp per
+    term, that the prime-only kernel replaced."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    n = int(0.9 * float(np.abs(t).max())) + 30
+    n = 64 * ((n + 63) // 64)
+    k = np.arange(1, n + 1, dtype=float)
+    s = 0.5 + 1j * t
+    eta = np.exp(-np.outer(s, np.log(k))) @ zeta._eta_terms(n)
+    return eta / (1.0 - 2.0 ** (1.0 - s))
+
+
+@pytest.mark.parametrize("n", [64, 128, 192, 256, 320])
+def test_zeta_half_line_matches_direct_sum(n):
+    # t up to (n - 30) / 0.9 asks for n terms; each call's largest t sets n
+    rng = np.random.default_rng(n)
+    top = (n - 30) / 0.9
+    t = np.append(rng.uniform(0.0, top, size=200), top - 1e-9)
+    got, ref = zeta.zeta_half_line(t), direct_zeta_half_line(t)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_eta_plan_fills_each_level_from_earlier_rows():
+    for n in (64, 320):
+        neg_log_p, levels, weights = zeta._eta_plan(n)
+        primes = np.rint(np.exp(-neg_log_p)).astype(int)
+        assert primes.tolist() == [p for p in range(2, n + 1)
+                                   if all(p % q for q in range(2, p))]
+        assert len(levels) <= 8 and weights.shape == (n,)
+        stop = 1 + primes.size
+        for start, end, spf_rows, cofactor_rows in levels:
+            assert start == stop and (spf_rows < start).all() and (cofactor_rows < start).all()
+            stop = end
+        assert stop == n
+
+
+def test_hardy_z_matches_mpmath_siegelz():
+    mpmath = pytest.importorskip("mpmath")
+    t = np.random.default_rng(20).uniform(0.0, 250.0, size=20)
+    ref = np.array([float(mpmath.siegelz(v)) for v in t])
+    assert np.abs(zeta.hardy_z(t) - ref).max() < 1e-11
+
+
+def test_computed_zeros_match_direct_sum_kernel(monkeypatch):
+    zeros = zeta.compute_zeros(100).values
+    monkeypatch.setattr(zeta, "zeta_half_line", direct_zeta_half_line)
+    assert np.abs(zeros - zeta.compute_zeros(100).values).max() <= 1e-12
+
+
 def test_compute_zeros_capacity():
     with pytest.raises(CapacityError):
         zeta.compute_zeros(101)
