@@ -228,7 +228,7 @@ def _cmd_verify(config: dict) -> tuple[dict, bool]:
             H = matrix_from_json(fh.read())
     except FileNotFoundError:
         raise InputError(f"matrix file not found: {config['matrix']}")
-    cert = certify(H, None, config["modes"], tol=config["tol"])
+    cert = certify(H, None, config["modes"])
     return {"certificate": cert.to_dict()}, cert.passed
 
 
@@ -276,18 +276,8 @@ def _cmd_zeta(config: dict) -> tuple[dict, bool]:
 
 def _cmd_schrodinger(config: dict) -> tuple[dict, bool]:
     grid = schrodinger.GridSpec(config["dimension"], config["half_width"], config["points"])
-    pot_name = config["potential"]
-    if pot_name == "harmonic":
-        pot = schrodinger.PotentialSpec.harmonic()
-    elif pot_name == "x2y2":
-        pot = schrodinger.PotentialSpec.quartic_cross()
-    elif pot_name.startswith("csv:"):
-        pot = schrodinger.load_potential_csv(pot_name[4:], grid)
-    else:
-        raise InputError(
-            f"unknown potential {pot_name!r}; use harmonic, x2y2 or csv:PATH"
-        )
-    levels, sectors = schrodinger.grid_levels(grid, pot, config["levels"], config["cap"])
+    V = schrodinger.potential(config["potential"], grid)
+    levels, sectors = schrodinger.grid_levels(grid, V, config["levels"], config["cap"])
     if config["out"]:
         spectra.save_spectrum_text(levels, config["out"])
     payload = {
@@ -345,7 +335,6 @@ SUBCOMMANDS = {
         Option("matrix", help="Hermitian matrix JSON, dense {dim, re, im} or sparse "
                "{dim, rows, cols, re, im}"),
         MODES,
-        Option("tol", number, help="isospectrality tolerance"),
         REPORT,
     )),
     "stats": Subcommand(_cmd_stats, "unfold a spectrum and test its spacing law", (

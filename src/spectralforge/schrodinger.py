@@ -3,8 +3,10 @@
 Second-order central differences on a uniform grid over [-L, L]^dim with
 homogeneous Dirichlet walls.  Confining potentials keep the low spectrum
 discrete and box-truncation error negligible for the retained levels.
-The grid is exactly mirror-symmetric, so a 2-D potential that is even in
-x and in y is solved one parity sector at a time (``grid_levels``).
+A potential is its values at the grid nodes in row-major order, which
+``potential`` reads from the spec ``harmonic``, ``x2y2`` or ``csv:PATH``.
+The grid is exactly mirror-symmetric, so a 2-D potential even in x and in
+y, to a few rounding errors, is solved one parity sector at a time.
 ``low_spectrum`` takes every H as CSR and picks its solver from the
 structure and the level count alone; the dimension cap applies only to
 a matrix it makes dense.
@@ -12,6 +14,7 @@ a matrix it makes dense.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +41,11 @@ class GridSpec:
             raise InputError("grid dimension must be 1 or 2")
         if self.M < 16:
             raise InputError("need at least 16 points per axis")
-        if not self.L > 0:
-            raise InputError("box half-width must be positive")
+        h2 = self.h * self.h
+        # 3 dimension / h^2 bounds every Laplacian entry, parity sectors included
+        if not (self.L > 0 and 0.0 < h2 < math.inf and math.isfinite(3 * self.dimension / h2)):
+            raise InputError(f"box half-width must be positive, with 1/h^2 a finite positive "
+                             f"float, got {self.L!r}")
 
     @property
     def h(self) -> float:
@@ -55,51 +61,18 @@ class GridSpec:
         return self.h * (np.arange(1, self.M + 1) - (self.M + 1) / 2)
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Confining potential: harmonic sum of squares, x^2 y^2, or a grid table."""
-
-    variant: str
-    table: np.ndarray | None = None
-
-    @classmethod
-    def harmonic(cls) -> "PotentialSpec":
-        return cls(variant="harmonic")
-
-    @classmethod
-    def quartic_cross(cls) -> "PotentialSpec":
-        return cls(variant="quartic_cross")
-
-    @classmethod
-    def from_table(cls, values) -> "PotentialSpec":
-        return cls(variant="table", table=np.asarray(values, dtype=float).ravel())
-
-    def on_grid(self, grid: GridSpec) -> np.ndarray:
-        x = grid.axis_nodes()
-        if self.variant == "harmonic":
-            if grid.dimension == 1:
-                v = x**2
-            else:
-                v = (x[:, None] ** 2 + x[None, :] ** 2).ravel()
-        elif self.variant == "quartic_cross":
-            if grid.dimension != 2:
-                raise InputError("the x^2 y^2 potential requires a 2-D grid")
-            v = ((x[:, None] ** 2) * (x[None, :] ** 2)).ravel()
-        elif self.variant == "table":
-            if self.table is None or self.table.size != grid.size:
-                raise InputError(
-                    f"potential table must have {grid.size} entries for this grid"
-                )
-            v = self.table
-        else:
-            raise InputError(f"unknown potential variant {self.variant!r}")
-        if not np.isfinite(v).all():
-            raise InputError("potential is not finite on the grid")
-        return v
+def _on_grid(V, grid: GridSpec) -> np.ndarray:
+    """V as one finite float per grid node, or InputError."""
+    V = np.asarray(V, dtype=float)
+    if V.shape != (grid.size,):
+        raise InputError(f"potential must have {grid.size} values for this grid, got {V.size}")
+    if not np.isfinite(V).all():
+        raise InputError("potential is not finite on the grid")
+    return V
 
 
-def load_potential_csv(path, grid: GridSpec) -> PotentialSpec:
-    """Read a (x[,y],V) table whose rows match the grid nodes in row-major order."""
+def _csv_table(path, nodes: np.ndarray, h: float) -> np.ndarray:
+    """The V column of a (x[,y],V) table whose rows match ``nodes``."""
     try:
         with warnings.catch_warnings():
             # numpy warns of a table with no data rows, which is refused below
@@ -109,23 +82,35 @@ def load_potential_csv(path, grid: GridSpec) -> PotentialSpec:
         raise InputError(f"{path}: {exc}")
     if data.size == 0:
         raise InputError(f"{path}: the potential table has no data rows")
-    expected_cols = grid.dimension + 1
-    if data.shape[1] != expected_cols:
-        raise InputError(
-            f"{path}: expected {expected_cols} columns, got {data.shape[1]}"
-        )
-    if data.shape[0] != grid.size:
-        raise InputError(f"{path}: expected {grid.size} rows, got {data.shape[0]}")
-    x = grid.axis_nodes()
-    if grid.dimension == 1:
-        nodes = x[:, None]
-    else:
-        nodes = np.stack(
-            [np.repeat(x, grid.M), np.tile(x, grid.M)], axis=1
-        )
-    if np.abs(data[:, :-1] - nodes).max() > 1e-9 * grid.h + 1e-12:
+    if data.shape[1] != nodes.shape[1] + 1:
+        raise InputError(f"{path}: expected {nodes.shape[1] + 1} columns, got {data.shape[1]}")
+    if data.shape[0] != nodes.shape[0]:
+        raise InputError(f"{path}: expected {nodes.shape[0]} rows, got {data.shape[0]}")
+    # written so that a NaN coordinate fails the match
+    if not np.abs(data[:, :-1] - nodes).max() <= 1e-9 * h + 1e-12:
         raise InputError(f"{path}: node coordinates do not match the grid")
-    return PotentialSpec.from_table(data[:, -1])
+    return data[:, -1]
+
+
+def potential(spec: str, grid: GridSpec) -> np.ndarray:
+    """V at the grid nodes, in row-major order, for ``harmonic`` (|x|^2),
+    ``x2y2`` (x^2 y^2, 2-D only) or ``csv:PATH``, a (x[,y],V) table whose
+    rows are the grid nodes in that order."""
+    axes = np.meshgrid(*[grid.axis_nodes()] * grid.dimension, indexing="ij")
+    nodes = np.stack(axes, axis=-1).reshape(grid.size, grid.dimension)
+    # a square that overflows is refused as not finite, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec == "harmonic":
+            V = (nodes**2).sum(axis=1)
+        elif spec == "x2y2":
+            if grid.dimension != 2:
+                raise InputError("the x^2 y^2 potential requires a 2-D grid")
+            V = (nodes**2).prod(axis=1)
+        elif spec.startswith("csv:"):
+            V = _csv_table(spec[4:], nodes, grid.h)
+        else:
+            raise InputError(f"unknown potential {spec!r}; use harmonic, x2y2 or csv:PATH")
+    return _on_grid(V, grid)
 
 
 def _laplacian_1d(M: int, h: float) -> sp.csr_matrix:
@@ -161,12 +146,13 @@ def _kron_sum(Tx, Ty, v) -> sp.csr_matrix:
     return (sp.kron(Tx, ey) + sp.kron(ex, Ty) + sp.diags(v)).tocsr()
 
 
-def assemble_sparse(grid: GridSpec, pot: PotentialSpec) -> sp.csr_matrix:
-    """Sparse real-symmetric FD Hamiltonian; no size cap applies."""
+def assemble_sparse(grid: GridSpec, V) -> sp.csr_matrix:
+    """Sparse real-symmetric FD Hamiltonian for V at the grid nodes; no size cap applies."""
+    V = _on_grid(V, grid)
     T = _laplacian_1d(grid.M, grid.h)
     if grid.dimension == 1:
-        return (T + sp.diags(pot.on_grid(grid))).tocsr()
-    return _kron_sum(T, T, pot.on_grid(grid))
+        return (T + sp.diags(V)).tocsr()
+    return _kron_sum(T, T, V)
 
 
 def _is_tridiagonal(H) -> bool:
@@ -226,26 +212,31 @@ def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
 
 
 SECTORS = ("even,even", "even,odd", "odd,even", "odd,odd")  # parity in x, then in y
+MIRROR_RTOL = 4 * np.finfo(float).eps  # of max|V|: how far V may be from its mirrors
 
 
 def grid_levels(
-    grid: GridSpec, pot: PotentialSpec, m: int, cap: int | None = None
+    grid: GridSpec, V, m: int, cap: int | None = None
 ) -> tuple[np.ndarray, dict | None]:
-    """The m lowest levels of the FD Hamiltonian, and the levels each parity sector gave.
+    """The m lowest levels of -Laplacian + V, and the levels each parity sector gave.
 
-    A 2-D potential that equals its x-mirror and its y-mirror exactly
-    commutes with both reflections, so H splits into the four sectors of
-    ``SECTORS``, each about a quarter of the grid, solved one at a time.
-    Any other grid is solved whole and its sector map is None.  ``cap``
-    bounds each matrix that ``low_spectrum`` makes dense.
+    A 2-D V within ``MIRROR_RTOL`` max|V| of its x- and y-mirrors is
+    averaged over both (an exactly symmetric V is unchanged, and by Weyl's
+    inequality no level moves by more than the average does), so H splits
+    into the four sectors of ``SECTORS``, each about a quarter of the grid,
+    solved one at a time.  Any other grid is solved whole and its sector
+    map is None.  ``cap`` bounds each matrix that ``low_spectrum`` makes dense.
     """
     m = int(m)
+    V = _on_grid(V, grid)
     _check_level_count(m, grid.size)
     if grid.dimension == 2:
-        V = pot.on_grid(grid).reshape(grid.M, grid.M)
-        if np.array_equal(V, V[::-1]) and np.array_equal(V, V[:, ::-1]):
-            return _sector_levels(grid, V, m, cap)
-    return low_spectrum(assemble_sparse(grid, pot), m, cap), None
+        V2 = V.reshape(grid.M, grid.M)
+        tol = MIRROR_RTOL * np.abs(V2).max()
+        if np.abs(V2 - V2[::-1]).max() <= tol and np.abs(V2 - V2[:, ::-1]).max() <= tol:
+            W = 0.5 * V2 + 0.5 * V2[::-1]
+            return _sector_levels(grid, 0.5 * W + 0.5 * W[:, ::-1], m, cap)
+    return low_spectrum(assemble_sparse(grid, V), m, cap), None
 
 
 _FIRST_SECTOR_SHARE = 2  # each sector first solves for ceil(m / this) levels
@@ -285,18 +276,13 @@ def _sector_levels(grid: GridSpec, V: np.ndarray, m: int, cap) -> tuple[np.ndarr
     return values[order[:m]], {label: int(n) for label, n in zip(SECTORS, given)}
 
 
-def pipeline_integrate(
-    grid: GridSpec,
-    pot: PotentialSpec,
-    n_modes: int,
-    m: int,
-) -> IntegrabilityCertificate:
+def pipeline_integrate(grid: GridSpec, V, n_modes: int, m: int) -> IntegrabilityCertificate:
     """End-to-end demonstration on a physical operator.
 
-    Solves for the lowest m levels of the FD Hamiltonian, then certifies
-    their projection with ``certify_levels``.
+    Solves for the lowest m levels of the FD Hamiltonian for V at the grid
+    nodes, then certifies their projection with ``certify_levels``.
     """
-    return certify_levels(grid_levels(grid, pot, m)[0], n_modes)
+    return certify_levels(grid_levels(grid, V, m)[0], n_modes)
 
 
 def certify_levels(levels, n_modes: int) -> IntegrabilityCertificate:

@@ -118,33 +118,27 @@ def test_criterion_6_schrodinger_pipeline():
     with criterion(6, "finite-difference pipeline", 180.0):
         errors = []
         for M in (200, 400, 800):
-            H = schrodinger.assemble_sparse(
-                schrodinger.GridSpec(1, 10.0, M), schrodinger.PotentialSpec.harmonic()
-            )
+            grid = schrodinger.GridSpec(1, 10.0, M)
+            H = schrodinger.assemble_sparse(grid, schrodinger.potential("harmonic", grid))
             w = schrodinger.low_spectrum(H, 4)
             errors.append(np.abs(w - np.array([1.0, 3.0, 5.0, 7.0])))
         assert errors[-1].max() < 1e-2
         assert (errors[0][:3] / errors[1][:3] >= 3.5).all()
         assert (errors[1][:3] / errors[2][:3] >= 3.5).all()
 
-        quartic = schrodinger.PotentialSpec.quartic_cross()
-        w64 = schrodinger.low_spectrum(
-            schrodinger.assemble_sparse(schrodinger.GridSpec(2, 8.0, 64), quartic), 1
-        )
+        g64, g96 = schrodinger.GridSpec(2, 8.0, 64), schrodinger.GridSpec(2, 8.0, 96)
+        quartic = schrodinger.potential("x2y2", g64)
+        w64 = schrodinger.low_spectrum(schrodinger.assemble_sparse(g64, quartic), 1)
         w96 = schrodinger.low_spectrum(
-            schrodinger.assemble_sparse(schrodinger.GridSpec(2, 8.0, 96), quartic), 1
+            schrodinger.assemble_sparse(g96, schrodinger.potential("x2y2", g96)), 1
         )
         assert abs(w64[0] - w96[0]) / w96[0] < 0.05
 
+        g400 = schrodinger.GridSpec(1, 10.0, 400)
         cert_1d = schrodinger.pipeline_integrate(
-            schrodinger.GridSpec(1, 10.0, 400),
-            schrodinger.PotentialSpec.harmonic(),
-            1,
-            20,
+            g400, schrodinger.potential("harmonic", g400), 1, 20
         )
-        cert_2d = schrodinger.pipeline_integrate(
-            schrodinger.GridSpec(2, 8.0, 64), quartic, 2, 30
-        )
+        cert_2d = schrodinger.pipeline_integrate(g64, quartic, 2, 30)
         assert cert_1d.passed
         assert cert_2d.passed
 

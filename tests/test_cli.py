@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -450,7 +451,7 @@ def test_config_value_rejected_exit_2(tmp_path, capsys, subcommand, file_cfg):
     "argv",
     [
         ["synthesize", "--set", "cantor", "--count", "20", "--dim", "12", "--modes", "2"],
-        ["verify", "--matrix", "MATRIX", "--modes", "2", "--tol", "1e-8"],
+        ["verify", "--matrix", "MATRIX", "--modes", "2"],
         ["stats", "--set", "interval:0:1", "--count", "300", "--model", "gue", "--degree", "2"],
         ["zeta", "--zeros", "ZEROS", "--modes", "2"],
         ["schrodinger", "--points", "32", "--levels", "4", "--half-width", "8", "--pipeline"],
@@ -577,6 +578,16 @@ def test_classical_non_finite_step_or_time_exit_2(tmp_path, capsys, flags):
     assert _one_error_line(captured) and "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("dimension", ["1", "2"])
+@pytest.mark.parametrize("half_width", ["1e-300", "1e-160", "1e200", "inf"])
+def test_schrodinger_half_width_without_finite_inverse_h2_exit_2(capsys, dimension, half_width):
+    argv = ["schrodinger", "--dimension", dimension, "--half-width", half_width,
+            "--points", "16", "--levels", "3"]
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "1/h^2" in captured.err
+
+
 def test_classical_step_count_cap_exit_3_before_the_loop(tmp_path, capsys, monkeypatch):
     spectrum = tmp_path / "levels.txt"
     spectrum.write_text("\n".join(str(float(i)) for i in range(8)) + "\n")
@@ -627,8 +638,10 @@ def _potential_csv(path, grid, potential):
 
 @pytest.mark.parametrize(
     "potential, symmetric",
-    [(lambda x, y: (x**2) ** 2 + 0.5 * y**2, True), (lambda x, y: (x - 1.0) ** 2 + y**2, False)],
-    ids=["mirror_symmetric", "asymmetric"],
+    [(lambda x, y: (x**2) ** 2 + 0.5 * y**2, True), (lambda x, y: (x - 1.0) ** 2 + y**2, False),
+     # numpy's x**4 rounds x and -x apart by a few ulps
+     (lambda x, y: x**4 + 0.5 * y**2, True)],
+    ids=["mirror_symmetric", "asymmetric", "near_symmetric"],
 )
 def test_schrodinger_csv_table_sectors(tmp_path, capsys, potential, symmetric):
     grid = schrodinger.GridSpec(2, 6.0, 24)
@@ -637,13 +650,28 @@ def test_schrodinger_csv_table_sectors(tmp_path, capsys, potential, symmetric):
             "--levels", "12", "--potential", table, "--no-timestamp"]
     code, report = run_report(argv, capsys)
     assert code == 0
-    pot = schrodinger.load_potential_csv(table[4:], grid)
-    ref = schrodinger.low_spectrum(schrodinger.assemble_sparse(grid, pot), 12)
+    V = schrodinger.potential(table, grid)
+    ref = schrodinger.low_spectrum(schrodinger.assemble_sparse(grid, V), 12)
     assert np.abs(np.array(report["levels"]) - ref).max() <= 1e-12 * np.abs(ref).max()
     assert ("sectors" in report) == symmetric
     if symmetric:
         assert list(report["sectors"]) == list(schrodinger.SECTORS)
         assert sum(report["sectors"].values()) == 12
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["harmonic_overflow", "csv_nan"])
+def test_schrodinger_non_finite_potential_exit_2_one_line(tmp_path, capsys, table):
+    grid = schrodinger.GridSpec(2, 6.0, 24)
+    if table:
+        spec = _potential_csv(tmp_path / "v.csv", grid, lambda x, y: np.where(x > 0, np.nan, y))
+        argv = ["--half-width", "6", "--points", "24", "--potential", spec]
+    else:  # x^2 overflows at the outer nodes of this box
+        argv = ["--half-width", "1e155", "--points", "24"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        assert cli.run(["schrodinger", "--dimension", "2", "--levels", "3", *argv]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "not finite" in captured.err
 
 
 @pytest.mark.parametrize(
