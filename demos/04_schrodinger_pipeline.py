@@ -21,7 +21,8 @@ for M in (200, 400, 800):
 print("\n-- 2D channel potential V = x^2 y^2 --")
 for M in (64, 96):
     grid = schrodinger.GridSpec(2, 8.0, M)
-    # V is even in x and in y, so the levels come one parity sector at a time
+    # V is even in x and in y and equals its x <-> y swap, so the levels come
+    # from the C4v blocks, each solved for the levels an inertia count gives
     w, sectors = schrodinger.grid_levels(grid, schrodinger.potential("x2y2", grid), 3)
     print(f"  M={M}  lowest levels: {np.round(w, 4)}  from sectors {sectors}")
 

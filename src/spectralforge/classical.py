@@ -77,8 +77,15 @@ class ActionTable:
         # tensor-product not-a-knot spline: spline the leading node axis,
         # move its (power, cell) axes last, repeat once per mode
         coeffs = values
-        for _ in range(n):
-            coeffs = np.moveaxis(CubicSpline(nodes, coeffs).c, (0, 1), (-2, -1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                for _ in range(n):
+                    coeffs = np.moveaxis(CubicSpline(nodes, coeffs).c, (0, 1), (-2, -1))
+                finite = np.isfinite(coeffs).all()
+            except ValueError:  # SciPy refuses slopes or values that overflowed
+                finite = False
+        if not finite:
+            raise InputError("the action table's spline overflows; rescale the spectrum")
         coeffs = np.ascontiguousarray(
             coeffs.transpose(tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2)))
         )

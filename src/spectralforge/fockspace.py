@@ -106,22 +106,26 @@ def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(M)
 
 
-def dimension_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+def dimension_cap(cap: int | None = None) -> int:
+    """The given ``cap``, else ``SPECTRAL_FORGE_CAP``, else the default; refused unless positive."""
+    source = "cap"
+    if cap is None:
+        source, raw = CAP_ENV_VAR, os.environ.get(CAP_ENV_VAR)
+        if raw is None:
+            return DEFAULT_DIM_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InputError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}")
+    cap = int(cap)
     if cap < 1:
-        raise InputError(f"{CAP_ENV_VAR} must be positive")
+        raise InputError(f"{source} must be positive, got {cap}")
     return cap
 
 
 def check_dimension(size: int, cap: int | None = None, remedy: str = "use a coarser grid") -> None:
-    """Refuse a matrix dimension ``size`` above ``cap``, which defaults to ``dimension_cap()``."""
-    cap = dimension_cap() if cap is None else int(cap)
+    """Refuse a matrix dimension ``size`` above ``dimension_cap(cap)``."""
+    cap = dimension_cap(cap)
     if size > cap:
         raise CapacityError(
             f"matrix dimension {size} exceeds cap {cap}; {remedy} or raise the cap"

@@ -14,6 +14,7 @@ blocks of stacked trials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,9 @@ def unfold(levels, degree: int = DEFAULT_UNFOLD_DEGREE) -> SpacingSample:
     spacing exactly 1.
     """
     arr = as_spectrum(levels)
+    # Python floats: a span that overflows is inf, with no numpy warning
+    if not math.isfinite(float(arr.max()) - float(arr.min())):
+        raise InputError("the spectrum's span overflows; rescale the levels")
     degree = int(degree)
     if not 1 <= degree <= 8:
         raise InputError("unfolding degree must be in 1..8")

@@ -6,7 +6,11 @@ discrete and box-truncation error negligible for the retained levels.
 A potential is its values at the grid nodes in row-major order, which
 ``potential`` reads from the spec ``harmonic``, ``x2y2`` or ``csv:PATH``.
 The grid is exactly mirror-symmetric, so a 2-D potential even in x and in
-y, to a few rounding errors, is solved one parity sector at a time.
+y, to a few rounding errors, is solved one block at a time: the four
+parity sectors, or, when V = V^T, the C4v blocks A1, B1, A2, B2 and the
+doubly degenerate E.  An inertia count (Sylvester's law, from an LDL^T of
+H - cI) gives each block the number of its levels below one cutoff c, so
+each is asked for exactly those and a solve that skips one is refused.
 ``low_spectrum`` takes every H as CSR and picks its solver from the
 structure and the level count alone; the dimension cap applies only to
 a matrix it makes dense.
@@ -24,7 +28,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InputError
-from .fockspace import dense_within_cap, sparse_diagonal
+from .fockspace import dense_within_cap, dimension_cap, sparse_diagonal
 from .intertwiner import IntegrabilityCertificate, certify
 
 
@@ -223,13 +227,16 @@ def grid_levels(
     A 2-D V within ``MIRROR_RTOL`` max|V| of its x- and y-mirrors is
     averaged over both (an exactly symmetric V is unchanged, and by Weyl's
     inequality no level moves by more than the average does), so H splits
-    into the four sectors of ``SECTORS``, each about a quarter of the grid,
-    solved one at a time.  Any other grid is solved whole and its sector
-    map is None.  ``cap`` bounds each matrix that ``low_spectrum`` makes dense.
+    into the blocks of ``_blocks``, each solved for the levels an inertia
+    count puts below one cutoff.  The sector map gives each label of
+    ``SECTORS`` its blocks' share of the m levels.  Any other grid is
+    solved whole and its sector map is None.  ``cap``, checked here,
+    bounds each matrix that ``low_spectrum`` makes dense.
     """
     m = int(m)
     V = _on_grid(V, grid)
     _check_level_count(m, grid.size)
+    cap = dimension_cap(cap)
     if grid.dimension == 2:
         V2 = V.reshape(grid.M, grid.M)
         tol = MIRROR_RTOL * np.abs(V2).max()
@@ -239,41 +246,125 @@ def grid_levels(
     return low_spectrum(assemble_sparse(grid, V), m, cap), None
 
 
-_FIRST_SECTOR_SHARE = 2  # each sector first solves for ceil(m / this) levels
+CUTOFF_RTOL = 1e-9  # the cutoff's height above the first block's top level, relative
+PIVOT_RTOL = 1e-10  # how far a zero pivot moves the cutoff, relative
+
+
+def _swap_isometry(n: int, sign: float) -> sp.csr_matrix:
+    """Columns e_ii and (e_ij + sign e_ji) / sqrt(2), i < j, on an n x n grid in row-major order.
+
+    sign = 1 spans the functions even under the swap of the two axes;
+    sign = -1 takes no e_ii and spans the odd ones.
+    """
+    i, j = np.triu_indices(n, 0 if sign > 0 else 1)
+    pair = np.flatnonzero(i < j)
+    r = np.sqrt(0.5)
+    rows = np.concatenate([i * n + j, j[pair] * n + i[pair]])
+    cols = np.concatenate([np.arange(i.size), pair])
+    vals = np.concatenate([np.where(i < j, r, 1.0), np.full(pair.size, sign * r)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, i.size))
+
+
+def _blocks(grid: GridSpec, V: np.ndarray) -> list[tuple[str, sp.csr_matrix, tuple[str, ...]]]:
+    """The blocks of -Laplacian + V, V symmetric under x -> -x and y -> -y.
+
+    Each is (name, operator, the ``SECTORS`` labels of its copies).  With
+    V = V^T the swap x <-> y splits (even, even) into A1 and B1 and
+    (odd, odd) into A2 and B2, H_b = P^T H P for the isometry P of
+    ``_swap_isometry``, and maps (even, odd), the block E, onto (odd, even).
+    Otherwise the blocks are the four parity sectors.  The first block
+    holds the ground state, which is positive.
+    """
+    axis = {p: _parity_laplacian(grid.M, grid.h, p == "odd") for p in ("even", "odd")}
+
+    def sector(label):
+        (Tx, ix), (Ty, iy) = (axis[p] for p in label.split(","))
+        return _kron_sum(Tx, Ty, V[np.ix_(ix, iy)].ravel())
+
+    if not np.array_equal(V, V.T):
+        return [(label, sector(label), (label,)) for label in SECTORS]
+    blocks = []
+    for p, names in (("even", ("A1", "B1")), ("odd", ("B2", "A2"))):
+        label = f"{p},{p}"
+        H = sector(label)
+        for name, sign in zip(names, (1.0, -1.0)):
+            P = _swap_isometry(axis[p][1].size, sign)
+            blocks.append((name, (P.T @ H @ P).tocsr(), (label,)))
+    return blocks + [("E", sector("even,odd"), ("even,odd", "odd,even"))]
+
+
+def _count_below(H, c: float) -> int | None:
+    """How many eigenvalues of the real symmetric H lie below c, or None at a zero pivot.
+
+    By Sylvester's law of inertia that is the number of negative pivots of
+    an LDL^T of H - cI.  SuperLU with no pivot threshold keeps to the
+    diagonal of a symmetric ordering, leaving it only at a zero pivot, and
+    then U = D L^T.
+    """
+    try:
+        lu = spla.splu(
+            (H - c * sp.identity(H.shape[0], format="csr")).tocsc(),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True),
+        )
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        return None
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and pivots.all()):
+        return None
+    return int(np.count_nonzero(pivots < 0))
+
+
+def _counts_below(blocks, c: float) -> tuple[list[int], float]:
+    """Every block's level count below one cutoff, moved off a zero pivot, and the cutoff."""
+    for _ in range(4):
+        counts = [_count_below(H, c) for _, H, _ in blocks]
+        if None not in counts:
+            return counts, c
+        c += PIVOT_RTOL * abs(c)
+    raise np.linalg.LinAlgError(f"no cutoff near {c:.17g} gives every block nonzero pivots")
 
 
 def _sector_levels(grid: GridSpec, V: np.ndarray, m: int, cap) -> tuple[np.ndarray, dict]:
-    """The m lowest levels of -Laplacian + V, V symmetric under x -> -x and y -> -y."""
-    # with V = V^T the swap x <-> y maps (even, odd) onto (odd, even)
-    source = {label: label for label in SECTORS}
-    if np.array_equal(V, V.T):
-        source["odd,even"] = "even,odd"
-    solved = list(dict.fromkeys(source.values()))
-    axis = {odd: _parity_laplacian(grid.M, grid.h, odd) for odd in (False, True)}
-    ops = {}
-    for s in solved:
-        (Tx, ix), (Ty, iy) = (axis[p == "odd"] for p in s.split(","))
-        ops[s] = _kron_sum(Tx, Ty, V[np.ix_(ix, iy)].ravel())
-    count = {s: min(ops[s].shape[0], -(-m // _FIRST_SECTOR_SHARE)) for s in solved}
-    levels = {}
-    pending = solved
-    while pending:
-        for s in pending:
-            levels[s] = low_spectrum(ops[s], count[s], cap)
-        values = np.concatenate([levels[source[label]] for label in SECTORS])
-        order = np.argsort(values, kind="stable")
-        cutoff = values[order[m - 1]] if values.size >= m else np.inf
-        # a sector is complete when solved whole or when its top computed
-        # level is at or above the m-th level of the union
-        pending = [
-            s for s in solved if count[s] < ops[s].shape[0] and levels[s][-1] < cutoff
-        ]
-        for s in pending:
-            count[s] = min(2 * count[s], ops[s].shape[0])
-    sizes = [levels[source[label]].size for label in SECTORS]
-    given = np.bincount(np.repeat(np.arange(len(SECTORS)), sizes)[order[:m]],
+    """The m lowest levels of -Laplacian + V, V symmetric under x -> -x and y -> -y.
+
+    The first block is solved for its share k of the m levels and a
+    cutoff c put just above its top level; k doubles until the blocks'
+    inertia counts below c, with multiplicity, reach m.  Each block is then
+    solved for exactly its count, and one whose solver finds a different
+    number of levels below c is refused, so no level below c is skipped.
+    """
+    blocks = _blocks(grid, V)
+    H1 = blocks[0][1]
+    k = min(H1.shape[0], -(-2 * m * H1.shape[0] // grid.size))
+    while True:
+        first = low_spectrum(H1, k, cap)
+        if k == H1.shape[0]:  # solved whole, so every level lies below c = inf
+            c, counts = np.inf, [H.shape[0] for _, H, _ in blocks]
+            break
+        counts, c = _counts_below(blocks, first[-1] + CUTOFF_RTOL * abs(first[-1]))
+        if sum(n * len(copies) for n, (_, _, copies) in zip(counts, blocks)) >= m:
+            break
+        k = min(2 * k, H1.shape[0])
+    found = {label: [] for label in SECTORS}
+    for (name, H, copies), n in zip(blocks, counts):
+        if H is H1 and n <= k:
+            w = first
+        else:
+            w = low_spectrum(H, n, cap) if n else np.empty(0)
+        if w.size != n or (n and not w[-1] < c):
+            raise np.linalg.LinAlgError(
+                f"block {name}: the solver found {np.count_nonzero(w < c)} levels below "
+                f"{c:.17g}, where the inertia count is {n}"
+            )
+        for label in copies:
+            found[label].append(w)
+    parts = [np.concatenate(found[label]) for label in SECTORS]
+    values = np.concatenate(parts)
+    order = np.argsort(values, kind="stable")[:m]
+    given = np.bincount(np.repeat(np.arange(len(SECTORS)), [p.size for p in parts])[order],
                         minlength=len(SECTORS))
-    return values[order[:m]], {label: int(n) for label, n in zip(SECTORS, given)}
+    return values[order], {label: int(n) for label, n in zip(SECTORS, given)}
 
 
 def pipeline_integrate(grid: GridSpec, V, n_modes: int, m: int) -> IntegrabilityCertificate:

@@ -303,3 +303,12 @@ def test_build_validation():
         ActionTable.build(np.arange(3.0), 1, 3)
     with pytest.raises(InputError):
         ActionTable.build(np.arange(5.0), 2, 4)  # too few energies for 4x4 grid
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_build_refuses_a_spline_that_overflows(n):
+    wide = np.geomspace(1e300, 1e308, 30)
+    levels = np.sort(np.concatenate([-wide, wide]))
+    with np.errstate(all="raise"):  # a numpy warning would escape as an error here
+        with pytest.raises(InputError, match="overflows"):
+            ActionTable.build(levels, n, 4)

@@ -184,14 +184,14 @@ def test_bad_set_spec_exit_2(capsys):
 
 
 def test_schrodinger_capacity_exit_3(capsys):
-    # every level of the 65 x 65 grid: the largest sector, 33 x 33 = 1089
+    # every level of the 65 x 65 grid: the largest block, E on 33 x 32 = 1056
     # nodes, would be made dense
     code = cli.run(["schrodinger", "--dimension", "2", "--points", "65", "--levels", "4225",
                     "--cap", "1000"])
     assert code == 3
     captured = capsys.readouterr()
     assert _one_error_line(captured, "error: capacity:")
-    assert "matrix dimension 1089 exceeds cap 1000" in captured.err
+    assert "matrix dimension 1056 exceeds cap 1000" in captured.err
 
 
 def test_schrodinger_grid_above_cap_is_solved_by_sectors(capsys):
@@ -692,6 +692,41 @@ def test_allocation_failure_exit_3_one_line(tmp_path, capsys, monkeypatch, error
     assert cli.run(["verify", "--matrix", str(matrix)]) == 3
     captured = capsys.readouterr()
     assert _one_error_line(captured, "error: capacity:") and names in captured.err
+
+
+def test_lanczos_that_drops_a_level_exit_3_one_line(capsys, monkeypatch):
+    eigsh = spla.eigsh
+    monkeypatch.setattr(schrodinger.spla, "eigsh",
+                        lambda A, k, **kwargs: np.sort(eigsh(A, k=k, **kwargs))[1:])
+    argv = ["schrodinger", "--dimension", "2", "--potential", "x2y2", "--points", "24",
+            "--levels", "10"]
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert _one_error_line(captured, "error: numerical: block A1:")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("dimension", ["1", "2"])
+def test_schrodinger_cap_not_positive_exit_2_one_line(capsys, monkeypatch, cap, dimension):
+    argv = ["schrodinger", "--dimension", dimension, "--points", "16", "--levels", "3"]
+    assert cli.run([*argv, "--cap", cap]) == 2
+    assert _one_error_line(capsys.readouterr())
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", cap)
+    assert cli.run(argv) == 2
+    assert _one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [["classical", "--modes", "1"],
+                                  ["classical", "--modes", "2", "--nodes", "4"], ["stats"]])
+def test_spectrum_whose_span_overflows_exit_2_one_line(tmp_path, capsys, argv):
+    wide = np.geomspace(1e300, 1e308, 30)
+    path = tmp_path / "wide.txt"
+    np.savetxt(path, np.sort(np.concatenate([-wide, wide])), fmt="%.17g")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+        assert cli.run([*argv, "--spectrum", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "overflows" in captured.err
 
 
 def test_arpack_no_convergence_exit_3_one_line(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from spectralforge.errors import InputError
 from spectralforge.fockspace import (
     TruncationBasis,
+    dimension_cap,
     eigendecompose,
     is_hermitian,
     matrix_from_json,
@@ -211,3 +212,13 @@ def test_is_hermitian_dense_or_sparse():
     for M in (H, sp.csr_array(H)):
         assert not is_hermitian(M)
     assert not is_hermitian(sp.csr_array(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_given_and_environment_caps_are_refused_alike(monkeypatch, cap):
+    with pytest.raises(InputError, match=f"^cap must be positive, got {cap}$"):
+        dimension_cap(cap)
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", str(cap))
+    with pytest.raises(InputError, match=f"^SPECTRAL_FORGE_CAP must be positive, got {cap}$"):
+        dimension_cap()
+    assert dimension_cap(7) == 7  # a given cap takes precedence over the environment

@@ -335,3 +335,13 @@ def test_goe_surmise_samples_pass_goe_and_fail_poisson():
     sample = ls.SpacingSample(unfolded_levels=np.cumsum(s), spacings=s)
     assert ls.spacing_test(sample, "goe").passed
     assert not ls.spacing_test(sample, "poisson").passed
+
+
+@pytest.mark.parametrize("levels", [
+    np.concatenate([-np.geomspace(1e300, 1e308, 30), np.geomspace(1e300, 1e308, 30)]),
+    np.repeat([-1e308, 1e308], 60),
+], ids=["wide", "two_values"])
+def test_unfold_refuses_a_span_that_overflows(levels):
+    with np.errstate(all="raise"):  # no arithmetic may overflow before the refusal
+        with pytest.raises(InputError, match="span overflows"):
+            ls.unfold(levels)

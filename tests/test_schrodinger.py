@@ -280,36 +280,183 @@ def test_axis_nodes_exactly_antisymmetric(M):
     assert np.array_equal(V, V.T)
 
 
-def _counted_solves(monkeypatch):
+def _blocks_of(spec, M):
+    grid = GridSpec(2, 8.0, M)
+    return grid, schrodinger._blocks(grid, potential(spec, grid).reshape(M, M))
+
+
+@pytest.mark.parametrize("M", [16, 17, 24, 25])
+@pytest.mark.parametrize("spec", ["x2y2", "harmonic"])
+def test_inertia_count_matches_dense_eigvalsh(spec, M):
+    _, blocks = _blocks_of(spec, M)
+    assert [name for name, _, _ in blocks] == ["A1", "B1", "B2", "A2", "E"]
+    for name, H, _ in blocks:
+        w = np.linalg.eigvalsh(H.toarray())
+        # midpoints of gaps wider than rounding, and cutoffs 1e-9 either side of a level
+        wide = np.flatnonzero(np.diff(w) > 1e-9 * np.abs(w).max())
+        between = (0.5 * (w[wide] + w[wide + 1]))[:: max(1, wide.size // 7)]
+        # harmonic's A1 and B1 share levels, so a cutoff near one is near both
+        near = np.concatenate([w[:: max(1, w.size // 5)] * (1 + s * 1e-9) for s in (-1, 1)])
+        for c in np.concatenate([between, near]):
+            assert schrodinger._count_below(H, c) == np.count_nonzero(w < c), (name, c)
+
+
+@pytest.mark.parametrize("M", [17, 25])
+def test_blocks_with_multiplicity_are_the_whole_grid(M):
+    grid, blocks = _blocks_of("x2y2", M)
+    n_even, n_odd = M // 2 + 1, M // 2
+    dims = {name: H.shape[0] for name, H, _ in blocks}
+    assert dims == {"A1": n_even * (n_even + 1) // 2, "B1": n_even * (n_even - 1) // 2,
+                    "A2": n_odd * (n_odd - 1) // 2, "B2": n_odd * (n_odd + 1) // 2,
+                    "E": n_even * n_odd}
+    parts = [np.linalg.eigvalsh(H.toarray()) for name, H, copies in blocks for _ in copies]
+    ref = np.linalg.eigvalsh(assemble_sparse(grid, potential("x2y2", grid)).toarray())
+    _assert_close(np.sort(np.concatenate(parts)), ref)
+
+
+def test_mirror_symmetric_potential_without_swap_match_full_grid(monkeypatch):
+    # the quartic table of the CI: V is even in x and in y, but V != V^T
+    grid = GridSpec(2, 6.0, 24)
+    x = grid.axis_nodes()
+    V = ((x[:, None] ** 2) ** 2 + 0.5 * x[None, :] ** 2).ravel()
+    ref = _full_grid_levels(grid, V, 12)
+    calls = _counted_solves(monkeypatch)
+    levels, sectors = grid_levels(grid, V, 12)
+    _assert_close(levels, ref)
+    assert list(sectors) == list(schrodinger.SECTORS) and sum(sectors.values()) == 12
+    # the first block is (even, even), a quarter of the grid, asked for ceil(m / 2)
+    assert calls[0] == (12 * 12, 6)
+
+
+def _counted_solves(monkeypatch, blocks=()):
+    """Record (dimension, m) of every solve, or (block name, m) for a matrix of ``blocks``."""
     calls = []
     solve = schrodinger.low_spectrum
 
     def counted(H, m, cap=None):
-        calls.append((H.shape[0], m))
+        names = [name for name, B, _ in blocks if B.shape == H.shape and abs(B - H).max() == 0]
+        calls.append((names[0] if names else H.shape[0], m))
         return solve(H, m, cap)
 
     monkeypatch.setattr(schrodinger, "low_spectrum", counted)
     return calls
 
 
-def test_x2y2_solves_three_quarter_grid_sectors(monkeypatch):
-    calls = _counted_solves(monkeypatch)
+def _recorded_counts(monkeypatch, blocks, short=()):
+    """Record (block name, count) of every inertia count; in the rounds ``short`` every
+    block but A1 counts 0."""
+    counts, cutoffs = [], []
+    count = schrodinger._count_below
+
+    def recorded(H, c):
+        if c not in cutoffs:
+            cutoffs.append(c)
+        name = next(name for name, B, _ in blocks if B.shape == H.shape and abs(B - H).max() == 0)
+        n = count(H, c)
+        counts.append((name, 0 if len(cutoffs) - 1 in short and name != "A1" else n))
+        return counts[-1][1]
+
+    monkeypatch.setattr(schrodinger, "_count_below", recorded)
+    return counts, cutoffs
+
+
+def test_x2y2_solves_each_block_for_its_count(monkeypatch):
     grid = GridSpec(2, 8.0, 64)
-    grid_levels(grid, potential("x2y2", grid), 20)
-    assert calls == [(32 * 32, 10)] * 3
+    V = potential("x2y2", grid)
+    ref = _full_grid_levels(grid, V, 20)
+    blocks = schrodinger._blocks(grid, V.reshape(64, 64))
+    counts, cutoffs = _recorded_counts(monkeypatch, blocks)
+    calls = _counted_solves(monkeypatch, blocks)
+    levels, sectors = grid_levels(grid, V, 20)
+    _assert_close(levels, ref)
+    # A1 is 32 * 33 / 2 = 528 of the 4096 nodes: k1 = ceil(2 * 20 * 528 / 4096) = 6
+    assert calls[0] == ("A1", 6)
+    assert len(cutoffs) == 1 and [name for name, _ in counts] == ["A1", "B1", "B2", "A2", "E"]
+    # A1 is solved again only if its count exceeds k1; every other block once,
+    # for exactly its count
+    assert calls[1:] == [(name, n) for name, n in counts if n and (name, n) != ("A1", 6)]
+    assert sum(n * (2 if name == "E" else 1) for name, n in counts) >= 20
+    assert list(sectors) == list(schrodinger.SECTORS) and sum(sectors.values()) == 20
 
 
-def test_sector_retry_until_complete(monkeypatch):
+def test_block_whose_count_is_zero_is_not_solved(monkeypatch):
+    grid = GridSpec(2, 8.0, 64)
+    V = potential("x2y2", grid)
+    blocks = schrodinger._blocks(grid, V.reshape(64, 64))
+    counts, cutoffs = _recorded_counts(monkeypatch, blocks)
+    calls = _counted_solves(monkeypatch, blocks)
+    grid_levels(grid, V, 3)
+    final = dict(counts[-len(blocks):])
+    assert 0 in final.values()
+    assert {name for name, _ in calls} == {name for name, n in final.items() if n}
+
+
+def test_sector_retry_when_counts_fall_short(monkeypatch):
     grid = GridSpec(2, 8.0, 33)
     V = potential("x2y2", grid)
     ref = _full_grid_levels(grid, V, 25)
-    calls = _counted_solves(monkeypatch)
-    # every sector starts from one level and doubles until it is complete
-    monkeypatch.setattr(schrodinger, "_FIRST_SECTOR_SHARE", 10**6)
+    blocks = schrodinger._blocks(grid, V.reshape(33, 33))
+    # in the first round every block but A1 counts nothing, so k1 doubles
+    counts, cutoffs = _recorded_counts(monkeypatch, blocks, short=(0,))
+    calls = _counted_solves(monkeypatch, blocks)
     levels, sectors = grid_levels(grid, V, 25)
     _assert_close(levels, ref)
     assert sum(sectors.values()) == 25
-    assert len(calls) > 3 and [m for _, m in calls[:3]] == [1, 1, 1]
+    # A1 is 17 * 18 / 2 = 153 of the 1089 nodes: k1 = ceil(2 * 25 * 153 / 1089) = 8
+    assert calls[:2] == [("A1", 8), ("A1", 16)]
+    assert len(cutoffs) == 2 and len(counts) == 2 * len(blocks)
+
+
+def test_first_block_solved_again_when_its_count_exceeds_k1(monkeypatch):
+    grid = GridSpec(2, 8.0, 40)
+    V = potential("x2y2", grid)
+    ref = _full_grid_levels(grid, V, 20)
+    eigsh, calls = spla.eigsh, []
+
+    def skips_once(A, k, **kwargs):
+        calls.append(k)
+        if len(calls) > 1:
+            return eigsh(A, k=k, **kwargs)
+        return np.delete(np.sort(eigsh(A, k=k + 1, **kwargs)), 1)  # k levels, one skipped
+
+    monkeypatch.setattr(spla, "eigsh", skips_once)
+    levels, _ = grid_levels(grid, V, 20)
+    _assert_close(levels, ref)
+    # A1 is 20 * 21 / 2 = 210 of the 1600 nodes: k1 = ceil(2 * 20 * 210 / 1600) = 6, and
+    # the count below a cutoff above the skipping solve's top level is 7
+    assert calls[:2] == [6, 7]
+
+
+def test_zero_pivot_moves_the_cutoff(monkeypatch):
+    assert schrodinger._count_below(sp.diags([1.0, 2.0, 3.0]).tocsr(), 2.0) is None
+    grid = GridSpec(2, 8.0, 24)
+    V = potential("x2y2", grid)
+    ref = _full_grid_levels(grid, V, 10)
+    cutoffs, count = [], schrodinger._count_below
+
+    def pivot_once(H, c):
+        cutoffs.append(c)
+        return None if len(cutoffs) == 1 else count(H, c)
+
+    monkeypatch.setattr(schrodinger, "_count_below", pivot_once)
+    _assert_close(grid_levels(grid, V, 10)[0], ref)
+    first, moved = list(dict.fromkeys(cutoffs))[:2]
+    assert moved == first + schrodinger.PIVOT_RTOL * abs(first)
+
+
+@pytest.mark.parametrize("skip", ["lowest", "second"])
+def test_lanczos_that_misses_a_level_is_refused(monkeypatch, skip):
+    eigsh = spla.eigsh
+
+    def missing(A, k, **kwargs):
+        if skip == "lowest":  # k - 1 levels
+            return np.sort(eigsh(A, k=k, **kwargs))[1:]
+        return np.delete(np.sort(eigsh(A, k=k + 1, **kwargs)), 1)  # k levels, one skipped
+
+    monkeypatch.setattr(spla, "eigsh", missing)
+    grid = GridSpec(2, 8.0, 40)
+    with pytest.raises(np.linalg.LinAlgError, match="block A1"):
+        grid_levels(grid, potential("x2y2", grid), 20)
 
 
 def test_asymmetric_2d_potential_solves_full_grid(monkeypatch):
