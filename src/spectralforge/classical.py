@@ -29,6 +29,7 @@ from .spectra import as_spectrum
 NODE_MATCH_TOL = 1e-12
 FLOW_DOMAIN_TOL = 1e-6
 MAX_FLOW_STEPS = 10**7  # about 1.3 GB of path as Python floats
+MIN_FREQUENCY = 1e-12  # a table whose frequencies all lie below it has no motion
 _DERIVATIVE_WEIGHTS = np.array([3.0, 2.0, 1.0])  # d/dt of t^3, t^2, t
 
 
@@ -129,7 +130,7 @@ class ActionTable:
         nodes = np.arange(self.K, dtype=float)
         grid = np.stack(np.meshgrid(*[nodes] * self.n, indexing="ij"), axis=-1)
         slopes = [self._evaluate(grid, o) for o in np.eye(self.n, dtype=int)]
-        return max(float(np.abs(slopes).max()), 1e-12)
+        return max(float(np.abs(slopes).max()), MIN_FREQUENCY)
 
     def _float_frequencies(self):
         """The frequencies w_i = dE/dJ_i at a phase point, on Python floats.
@@ -285,10 +286,18 @@ def integrate_flow(
     with w_i the partial derivative of the table interpolant.  Reports the
     worst action and energy drift along the trajectory; leaving the
     interpolant domain truncates the trajectory and sets a flag.  More than
-    ``MAX_FLOW_STEPS`` steps is refused before anything is allocated.
+    ``MAX_FLOW_STEPS`` steps is refused before anything is allocated.  The
+    default ``dt`` is 1e-2 over the largest frequency, and a table with no
+    motion, whose frequencies are all below ``MIN_FREQUENCY``, has none.
     """
     if dt is None:
-        dt = 1e-2 / table.characteristic_frequency()
+        omega = table.characteristic_frequency()
+        if omega <= MIN_FREQUENCY:
+            raise InputError(
+                f"the action table has no motion: every frequency dE/dJ is below "
+                f"{MIN_FREQUENCY:g}, so there is no default time step"
+            )
+        dt = 1e-2 / omega
     dt = float(dt)
     T = float(T)
     if not (isfinite(dt) and isfinite(T)):

@@ -99,11 +99,18 @@ def synthesize(seq, basis: TruncationBasis) -> np.ndarray:
 
 
 def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of M."""
+    """Ascending eigenvalues and orthonormal eigenvector columns of M.
+
+    LAPACK's MRRR driver ``?heevr`` / ``?syevr`` (Dhillon, Parlett and Vömel,
+    ACM TOMS 32, 533, 2006): faster than the divide-and-conquer ``?heevd`` at
+    the same residuals.
+    """
     M = np.asarray(M)
     if not is_hermitian(M):
         raise InputError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigh(M)
+    from scipy.linalg import eigh  # loaded on use, like the other SciPy submodules
+
+    return eigh(M, driver="evr", check_finite=False)
 
 
 def dimension_cap(cap: int | None = None) -> int:
@@ -196,8 +203,8 @@ def matrix_from_json(text: str):
             cols = _json_indices(data["cols"], dim, "cols")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad matrix JSON: {exc}")
-    if dim < 0:
-        raise InputError("matrix JSON dim is negative")
+    if dim < 1:
+        raise InputError(f"matrix JSON dim must be at least 1, got {dim}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise InputError("matrix JSON has entries that are not finite")
     if not sparse:

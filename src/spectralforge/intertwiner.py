@@ -11,19 +11,22 @@ vectors, so U = V_H^dagger with its rows permuted by an ``argsort`` of that
 diagonal, one expression for either kind of V_H.
 
 H is the direct sum of its blocks, the connected components of its
-sparsity graph.  One component (a general H) gets one ``eigh``, several
-one stacked ``eigh`` per block size, within the cap on the largest block,
-and then V_H, U and every T_i are block-sparse.  A diagonal H has 1 x 1
-blocks: U is a permutation and a certificate costs O(d).  Every operator
-stays in H's field, so a real H gives real U and T_i.
+sparsity graph.  One component (a general H) gets one dense eigensolve by
+LAPACK's MRRR driver, several one stacked ``eigh`` per block size, within
+the cap on the largest block, and then V_H, U and every T_i are
+block-sparse.  A diagonal H has 1 x 1 blocks: U is a permutation and a
+certificate costs O(d).  Every operator stays in H's field, so a real H
+gives real U and T_i.
 
-Verification measures in the original frame from H, U, T and the diagonal
-of A only.  It multiplies each operand in the kind it is given: a sparse
-one as CSR, a dense one through BLAS.  The commutator of Hermitian X and
-Y is evaluated as XY - (XY)^dagger, so verification also measures the
-Hermiticity defect of H and of every T_i, and gates it in ``passed``
-together with the commutators and, when A is given, the intertwining
-residual.
+Verification reads only H, U, the diagonal a of A and the number diagonals
+n_i.  It measures two residuals, R = UH - diag(a) U and G = UU^dagger - I,
+and from them bounds the commutators of the exact operators
+T_i = U^dagger N_i U, with no T_i formed: [T_i, H] and [T_i, T_j] are exact
+expressions in R and G, so each bound costs O(d^2) once R and G are known,
+or O(nnz) for CSR operands.  ``unitarity_defect`` is max|UU^dagger - I|.
+Each operand is multiplied in the kind it is given: a sparse one as CSR, a
+dense one through BLAS.  ``certify`` verifies first and forms the dense or
+CSR T_i afterwards, for its callers.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .fockspace import (
     dense_within_cap,
     eigendecompose,
     is_hermitian,
+    sparse_diagonal,
 )
 
 UNITARITY_TOL_PER_DIM = 1e-9
@@ -102,6 +106,8 @@ def _eigenpairs(H):
     H = sp.csr_array(H) if sp.issparse(H) else np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"H must be a square matrix, got shape {H.shape}")
+    if not H.shape[0]:
+        raise InputError("H is 0 x 0: certification needs at least one row")
     # before any arithmetic on H, so one message covers NaN and inf in every path
     if not np.isfinite(H.data if sp.issparse(H) else H).all():
         raise InputError("H has entries that are not finite")
@@ -192,12 +198,20 @@ def first_integrals(U, basis: TruncationBasis) -> list:
 
 @dataclass
 class IntegrabilityCertificate:
-    """Verification record for a commuting family of first integrals."""
+    """Verification record for the commuting family T_i = U† N_i U.
+
+    The commutator fields bound the commutators of the exact operators
+    U† N_i U of the returned U, from the two measured residuals
+    R = UH − diag(a) U and G = UU† − I: up to the rounding of measuring R
+    and G, never below ‖[H, T_i]‖_F and ‖[T_i, T_j]‖_F.
+    ``unitarity_defect`` is max|UU† − I|, ``hermiticity_defect`` is
+    ‖H − H†‖_F, and ``intertwining_residual`` is ‖R‖_F when A is given.
+    """
 
     dim: int
     n_modes: int
     U: object = field(repr=False)  # from certify: CSR for an H of several components, else dense
-    T: list = field(repr=False)  # from certify: of the same kind as U
+    T: list | None = field(repr=False)  # attached by certify, of the same kind as U
     unitarity_defect: float
     intertwining_residual: float | None
     hermiticity_defect: float
@@ -221,63 +235,119 @@ def _frob(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
-def _identity_like(U):
-    """The identity of U's size and kind: a CSR array for a CSR operand."""
-    d = U.shape[0]
-    return sp.csr_array(sp.identity(d)) if sp.issparse(U) else np.eye(d)
-
-
-def _hermitian_commutator(X: np.ndarray, Y: np.ndarray) -> float:
-    """‖[X, Y]‖_F for Hermitian X and Y, where YX = (XY)†: one matmul."""
-    XY = X @ Y
-    return _frob(XY - XY.conj().T)
-
-
 def _operand(M):
     """M as verification multiplies it: CSR for a sparse M, else a dense array."""
     return sp.csr_array(M) if sp.issparse(M) else np.asarray(M)
 
 
-def verify_integrability(
-    H, U, T: list, basis: TruncationBasis, A=None
-) -> IntegrabilityCertificate:
-    """Measure commutators, unitarity, and joint-spectrum injectivity.
+def _squared_moduli(M):
+    """|M_kl|² entry by entry, of M's kind: CSR for a sparse M, else dense."""
+    M = abs(M)
+    return sp.csr_array(M.multiply(M)) if sp.issparse(M) else np.square(M, out=M)
 
-    A, when given, is diagonal (a matrix or its 1-D diagonal) and yields
-    the intertwining residual ‖UH − AU‖_F.  The commutators assume H and
-    every T_i Hermitian, so their largest Hermiticity defect ‖X − X†‖_F is
-    gated against the commutator tolerance ``DEFAULT_COMMUTATOR_TOL`` too,
-    and so is the intertwining residual.  Sparse operands are multiplied as
+
+def _row_sums(M) -> np.ndarray:
+    return np.asarray(M.sum(axis=1)).ravel()
+
+
+def _residual_row_norms(U, H, a: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal a and the squared row norms of R = UH − diag(a) U.
+
+    Without a given ``a``, each a_k is the Rayleigh quotient Re (UHU†)_kk,
+    which makes row k of R shortest when that row of U is a unit vector.
+    """
+    R = U @ H  # CSR when U and H both are, else dense
+    if a is None:
+        a = _row_sums(U.conj().multiply(R) if sp.issparse(U) else U.conj() * R).real
+    if sp.issparse(R):
+        R = R - sparse_diagonal(a) @ U
+    else:
+        R = np.asarray(R, dtype=np.result_type(R, float))  # in place below, so inexact
+        R -= a[:, None] * (U.toarray() if sp.issparse(U) else U)
+    return a, _row_sums(_squared_moduli(R))
+
+
+def _gram_defect(U):
+    """|UU† − I|² entry by entry, and max|UU† − I|."""
+    G = U @ U.conj().T
+    if sp.issparse(G):
+        G = G - sp.csr_array(sp.identity(U.shape[0]))
+    else:
+        G[np.diag_indices_from(G)] -= 1
+    P = _squared_moduli(G)
+    return P, float(np.sqrt(P.max()))
+
+
+def _antisymmetric_mass(P, x: np.ndarray, y: np.ndarray) -> float:
+    """‖(x yᵀ − y xᵀ) ∘ G‖_F², summed entry by entry from P = |G|², so nothing cancels."""
+    if sp.issparse(P):
+        P = P.tocoo()
+        c = x[P.row] * y[P.col] - y[P.row] * x[P.col]
+        return float(np.dot(c * c, P.data))
+    C = np.outer(x, y)
+    C -= C.T
+    return float(np.einsum("kl,kl,kl->", C, C, P))
+
+
+def verify_integrability(H, U, basis: TruncationBasis, A=None) -> IntegrabilityCertificate:
+    """Bound the commutators of T_i = U† N_i U, and measure unitarity and independence.
+
+    Reads only H, U, the number diagonals n_i and the diagonal a of A, and
+    measures two residuals, R = UH − diag(a) U and G = UU† − I.  For any U
+    and any real diagonal a, with D = H − H†,
+
+        [T_i, H] = U† N_i R − R† N_i U − D T_i,
+        [T_i, T_j] = U† (N_i G N_j − N_j G N_i) U,
+
+    and ‖U‖₂² ≤ 1 + ‖G‖_F.  So the certificate reports
+
+        max_hamiltonian_commutator = max_i 2 √(1 + ‖G‖_F) ‖N_i R‖_F
+                                     + ‖D‖_F max(n_i) (1 + ‖G‖_F),
+        max_pairwise_commutator = max_{i<j} (1 + ‖G‖_F) ‖(n_i n_jᵀ − n_j n_iᵀ) ∘ G‖_F,
+
+    each from R's row norms and G's entries in O(d²), or O(nnz) for CSR
+    operands; the D term vanishes for an exactly Hermitian H.  No T_i is
+    formed.  ``unitarity_defect`` is max|G|, ``hermiticity_defect`` is
+    ‖D‖_F, and ``intertwining_residual`` is ‖R‖_F when A, a diagonal matrix
+    or its 1-D diagonal, is given; without A each a_k is the Rayleigh
+    quotient (UHU†)_kk.  The commutator bounds, the Hermiticity defect and
+    the intertwining residual are gated against ``DEFAULT_COMMUTATOR_TOL``
+    times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the unitarity defect against
+    ``UNITARITY_TOL_PER_DIM`` times d.  Sparse operands are multiplied as
     CSR and dense ones densely.
 
     Failures are reported in the certificate, never raised.
     """
     Hop, Uop = _operand(H), _operand(U)
-    Tops = [_operand(Ti) for Ti in T]
     d = Hop.shape[0]
-    if any(X.shape != (d, d) for X in (Hop, Uop, *Tops)):
-        raise InputError("all matrices must share the Hamiltonian's dimension")
-
-    # the identity is built after U†U and freed with it, so no dense d×d
-    # temporary lives on into the commutators below
-    unit_defect = float(abs(Uop.conj().T @ Uop - _identity_like(Uop)).max())
-    inter_res = None
+    if Hop.shape != (d, d) or Uop.shape != (d, d) or basis.d != d:
+        raise InputError("H, U and the basis must share the Hamiltonian's dimension")
+    a = None
     if A is not None:
         a = _diagonal(A)
         if a.size != d:
             raise InputError(f"A has dimension {a.size}, the Hamiltonian {d}")
-        inter_res = _frob(Uop @ Hop - a[:, None] * Uop)
+    n = [_number_diagonal(basis, i) for i in range(1, basis.n + 1)]
 
-    herm_defect = max(_frob(X - X.conj().T) for X in (Hop, *Tops))
-    max_pair = max((_hermitian_commutator(X, Y) for X, Y in combinations(Tops, 2)), default=0.0)
-    max_ham = max((_hermitian_commutator(Hop, Ti) for Ti in Tops), default=0.0)
+    # each residual is reduced to vectors and scalars as soon as it is
+    # measured, and freed before the next one is formed
+    herm_defect = _frob(Hop - Hop.conj().T)
+    a, r2 = _residual_row_norms(Uop, Hop, a)
+    P, unit_defect = _gram_defect(Uop)
+    u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
+    pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
+    del P
+    max_pair = u2 * float(np.sqrt(pair_mass))
+    max_ham = max((2.0 * float(np.sqrt(u2 * np.dot(x * x, r2))) + herm_defect * float(x.max()) * u2
+                   for x in n), default=0.0)
+    inter_res = None if A is None else float(np.sqrt(r2.sum()))
 
     # exact integer check: the quantum-number tuples must separate states;
     # once the rows are sorted, a repeated tuple sits next to its twin
     rows = basis.indices[np.lexsort(basis.indices.T)]
     independence = not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
-    scale = _frob(Hop) + sum(_frob(Ti) for Ti in Tops)
+    scale = _frob(Hop) + sum(float(np.linalg.norm(x)) for x in n)
     bound = DEFAULT_COMMUTATOR_TOL * max(1.0, scale)
     residuals = (max_pair, max_ham, herm_defect, 0.0 if inter_res is None else inter_res)
     passed = (
@@ -289,7 +359,7 @@ def verify_integrability(
         dim=d,
         n_modes=basis.n,
         U=U,
-        T=list(T),
+        T=None,
         unitarity_defect=unit_defect,
         intertwining_residual=inter_res,
         hermiticity_defect=herm_defect,
@@ -303,18 +373,21 @@ def verify_integrability(
 
 
 def certify(H, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCertificate:
-    """Full pipeline: synthesize A from ``seq``, intertwine, verify.
+    """Full pipeline: synthesize A from ``seq``, intertwine, verify, then form T.
 
     ``seq`` defaults to the spectrum of H itself when given as None.  H is
     decomposed once, block by block over its connected components; its
     eigenpairs serve both as the default ``seq`` and for the intertwiner.
     An H of several components, dense or sparse, is held as CSR and gets a
-    block-sparse CSR U and CSR T_i; an H of one component is dense.
+    block-sparse CSR U and CSR T_i; an H of one component is dense.  The
+    first integrals are formed after verification has freed its residuals,
+    and attached to the certificate as ``T``.
     """
     H, wH, VH = _eigenpairs(H)
     basis = TruncationBasis.build(n_modes, H.shape[0])
     a = _synthesized_diagonal(wH if seq is None else seq, basis)
     U = _intertwine(wH, VH, a, tol)
-    del VH  # free V_H before the first integrals and verification allocate
-    T = first_integrals(U, basis)
-    return verify_integrability(H, U, T, basis, A=a)
+    del VH  # free V_H before verification and the first integrals allocate
+    cert = verify_integrability(H, U, basis, A=a)
+    cert.T = first_integrals(U, basis)
+    return cert

@@ -729,6 +729,32 @@ def test_spectrum_whose_span_overflows_exit_2_one_line(tmp_path, capsys, argv):
     assert _one_error_line(captured) and "overflows" in captured.err
 
 
+@pytest.mark.parametrize("values", [[3.0] * 80, [-1e308] * 60 + [1e308] * 60],
+                         ids=["flat", "flat_first_nodes"])
+def test_classical_table_without_motion_exit_2_one_line(tmp_path, capsys, values):
+    path = tmp_path / "flat.txt"
+    np.savetxt(path, values, fmt="%.17g")
+    assert cli.run(["classical", "--spectrum", str(path), "--modes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "no motion" in captured.err
+    assert "dt" not in captured.err.replace("dE/dJ", "")  # no step the user never gave
+    # with a step given, the table's trivial flow runs
+    code = cli.run(["classical", "--spectrum", str(path), "--modes", "1", "--dt", "0.1",
+                    "--time", "1", "--no-timestamp"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("content", ['{"dim": 0, "re": [], "im": []}',
+                                     '{"dim": 0, "rows": [], "cols": [], "re": [], "im": []}'],
+                         ids=["dense", "sparse"])
+def test_verify_empty_matrix_exit_2_names_the_matrix(tmp_path, capsys, content):
+    matrix = tmp_path / "op.json"
+    matrix.write_text(content)
+    assert cli.run(["verify", "--matrix", str(matrix)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured) and "matrix JSON dim must be at least 1" in captured.err
+
+
 def test_arpack_no_convergence_exit_3_one_line(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence(

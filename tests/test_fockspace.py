@@ -142,6 +142,14 @@ def test_matrix_from_json_rejects_malformed_payload(text):
         matrix_from_json(text)
 
 
+@pytest.mark.parametrize("text", ['{"dim": 0, "re": [], "im": []}',
+                                  '{"dim": 0, "rows": [], "cols": [], "re": [], "im": []}'],
+                         ids=["dense", "sparse"])
+def test_matrix_from_json_refuses_dim_0(text):
+    with pytest.raises(InputError, match="matrix JSON dim must be at least 1, got 0"):
+        matrix_from_json(text)
+
+
 # sparse form {dim, rows, cols, re, im}: one list entry per nonzero
 
 def test_sparse_matrix_json_roundtrip_bit_exact():

@@ -1,5 +1,6 @@
 import time
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_verify_all_diagonal():
     basis = TruncationBasis.build(2, 3)
     A = synthesize(seq, basis)
     U = np.eye(3, dtype=complex)
-    cert = verify_integrability(A, U, first_integrals(U, basis), basis, A=A)
+    cert = verify_integrability(A, U, basis, A=A)
     assert cert.passed
     assert cert.max_pairwise_commutator == 0.0
     assert cert.max_hamiltonian_commutator == 0.0
@@ -101,7 +102,7 @@ def test_verify_with_degenerate_levels():
     # repeated eigenvalues stay separated by their quantum numbers
     H, A, basis = random_conjugated([7.0, 7.0, 5.0, 5.0, 5.0, 1.0], 2, 3)
     U = build_unitary(H, A)
-    cert = verify_integrability(H, U, first_integrals(U, basis), basis, A=A)
+    cert = verify_integrability(H, U, basis, A=A)
     assert cert.passed
     assert cert.independence
 
@@ -116,8 +117,7 @@ def test_repeated_multi_index_fails_independence():
             idx = idx[rng.permutation(d)]
             basis = TruncationBasis(n=n, d=d, indices=idx)
             U = np.eye(d, dtype=complex)
-            cert = verify_integrability(np.diag(np.arange(d, dtype=float)), U,
-                                        first_integrals(U, basis), basis)
+            cert = verify_integrability(np.diag(np.arange(d, dtype=float)), U, basis)
             # the Python-set reference for injectivity of the joint spectrum
             assert cert.independence is (len({tuple(row) for row in idx.tolist()}) == d)
             assert cert.independence is not repeat
@@ -159,16 +159,15 @@ def test_first_integrals_match_dense_conjugation():
         assert np.abs(Ti - dense).max() < 1e-12
 
 
-def test_certificate_fails_on_anti_hermitian_first_integral():
+def test_certificate_fails_on_non_hermitian_H():
     H, A, basis = random_conjugated(np.arange(1.0, 21.0), 2, 8)
     U = build_unitary(H, A)
-    T = first_integrals(U, basis)
-    clean = verify_integrability(H, U, T, basis, A=A)
+    clean = verify_integrability(H, U, basis, A=A)
     assert clean.passed
-    assert clean.hermiticity_defect < 1e-12
+    assert clean.hermiticity_defect == 0.0  # (X + X†)/2 is exactly Hermitian
     S = np.random.default_rng(0).normal(size=(20, 20))
-    T[0] = T[0] + 1e-6j * (S + S.T)  # small anti-Hermitian perturbation
-    cert = verify_integrability(H, U, T, basis, A=A)
+    bad = H + 1e-6j * (S + S.T)  # a small anti-Hermitian part
+    cert = verify_integrability(bad, U, basis, A=A)
     assert cert.hermiticity_defect > 1e-5
     assert not cert.passed
 
@@ -177,12 +176,11 @@ def test_certificate_fails_on_corrupted_row_of_unitary():
     H, A, basis = random_conjugated(np.arange(1.0, 21.0), 2, 9)
     U = build_unitary(H, A)
     U[3] += 1e-4 * np.random.default_rng(1).normal(size=20)
-    cert = verify_integrability(H, U, first_integrals(U, basis), basis, A=A)
+    cert = verify_integrability(H, U, basis, A=A)
     assert cert.unitarity_defect > 1e-5
     assert cert.intertwining_residual > 1e-4
-    # the first integrals stop commuting with H, and the halved commutators see it
-    tol = cert.commutator_tol * (np.linalg.norm(H) + sum(np.linalg.norm(T) for T in cert.T))
-    assert cert.max_hamiltonian_commutator > tol
+    # the first integrals stop commuting with H, and the bound sees it
+    assert cert.max_hamiltonian_commutator > commutator_gate(cert, H, basis)
     assert not cert.passed
 
 
@@ -215,9 +213,8 @@ def test_diagonal_A_as_matrix_or_1d():
     a = np.diag(A)
     U = build_unitary(H, A)
     assert np.array_equal(build_unitary(H, a), U)
-    T = first_integrals(U, basis)
-    assert (verify_integrability(H, U, T, basis, A=a).to_dict()
-            == verify_integrability(H, U, T, basis, A=A).to_dict())
+    assert (verify_integrability(H, U, basis, A=a).to_dict()
+            == verify_integrability(H, U, basis, A=A).to_dict())
 
 
 def test_passed_gates_intertwining_residual():
@@ -227,8 +224,7 @@ def test_passed_gates_intertwining_residual():
     basis = TruncationBasis.build(2, 8)
     U = cert.U.toarray()
     U[[0, 7]] = U[[7, 0]]  # still a permutation: unitary, and T still commutes
-    bad = verify_integrability(H, U, first_integrals(U, basis), basis,
-                               A=synthesize(np.arange(1.0, 9.0), basis))
+    bad = verify_integrability(H, U, basis, A=synthesize(np.arange(1.0, 9.0), basis))
     assert bad.intertwining_residual == pytest.approx(7 * np.sqrt(2))
     assert bad.unitarity_defect == 0.0
     assert not bad.passed
@@ -240,32 +236,40 @@ def test_passed_gates_intertwining_residual():
 STRUCTURED_D = 200
 
 
-def dense_certificate(H, U, T, A, basis, commutator_tol=1e-8):
-    """Every ``to_dict`` field, from explicit dense formulas.
+def commutator_gate(cert, H, basis):
+    """The bound that ``passed`` holds each commutator field to."""
+    H = H.toarray() if sp.issparse(H) else H
+    n = [basis.indices[:, i].astype(float) for i in range(basis.n)]
+    return cert.commutator_tol * max(1.0, np.linalg.norm(H) + sum(np.linalg.norm(x) for x in n))
 
-    The certificate measures [X, Y] as XY - (XY)†, which is the commutator
-    for Hermitian X and Y; a non-Hermitian part of H or T_i shows in it.
+
+def dense_certificate(H, U, A, basis, commutator_tol=1e-8):
+    """Every ``to_dict`` field, from the residuals R = UH − AU and G = UU† − I formed densely.
+
+    [T_i, H] = U† N_i R − R† N_i U − D T_i with D = H − H†, and
+    [T_i, T_j] = U† (N_i G N_j − N_j G N_i) U, bounded through ‖U‖₂² ≤ 1 + ‖G‖_F.
     """
     d = H.shape[0]
     fro = np.linalg.norm
-
-    def comm(X, Y):
-        return fro(X @ Y - (X @ Y).conj().T)
-
-    pairs = [comm(T[i], T[j]) for i in range(len(T)) for j in range(i + 1, len(T))]
+    N = [np.diag(basis.indices[:, i].astype(float)) for i in range(basis.n)]
+    R, G, D = U @ H - A @ U, U @ U.conj().T - np.eye(d), H - H.conj().T
+    g = fro(G)
+    pairs = [(1 + g) * fro(N[i] @ G @ N[j] - N[j] @ G @ N[i])
+             for i in range(len(N)) for j in range(i + 1, len(N))]
     ref = {
         "dim": d,
         "n_modes": basis.n,
-        "unitarity_defect": np.abs(U.conj().T @ U - np.eye(d)).max(),
-        "intertwining_residual": fro(U @ H - A @ U),
-        "hermiticity_defect": max(fro(X - X.conj().T) for X in [H, *T]),
+        "unitarity_defect": np.abs(G).max(),
+        "intertwining_residual": fro(R),
+        "hermiticity_defect": fro(D),
         "max_pairwise_commutator": max(pairs, default=0.0),
-        "max_hamiltonian_commutator": max(comm(H, Ti) for Ti in T),
+        "max_hamiltonian_commutator": max(2 * np.sqrt(1 + g) * fro(Ni @ R)
+                                          + fro(D) * Ni.max() * (1 + g) for Ni in N),
         "independence": True,
         "commutator_tol": commutator_tol,
         "unitarity_tol": 1e-9 * d,
     }
-    scale = fro(H) + sum(fro(Ti) for Ti in T)
+    scale = fro(H) + sum(fro(Ni) for Ni in N)
     ref["passed"] = bool(
         max(ref["max_pairwise_commutator"], ref["max_hamiltonian_commutator"],
             ref["hermiticity_defect"], ref["intertwining_residual"])
@@ -305,8 +309,7 @@ def test_diagonal_certificate_matches_dense_reference(structured, monkeypatch):
     monkeypatch.setattr(intertwiner, "eigendecompose", no_eigh)
     cert = certify(H, None, 3)
     assert cert.passed
-    assert_matches_dense(cert, dense_certificate(H, cert.U.toarray(),
-                                                 [Ti.toarray() for Ti in cert.T], A, basis))
+    assert_matches_dense(cert, dense_certificate(H, cert.U.toarray(), A, basis))
     # U is a permutation and T_i = U† N_i U, computed densely here
     assert np.array_equal(np.abs(cert.U.toarray()).sum(axis=0), np.ones(STRUCTURED_D))
     assert np.array_equal(np.abs(cert.U.toarray()).sum(axis=1), np.ones(STRUCTURED_D))
@@ -320,27 +323,27 @@ def test_scaled_entry_of_monomial_unitary_fails(structured):
     U = certify(H, None, 3).U.toarray()
     j = np.flatnonzero(U[5])[0]
     U[5, j] *= 1 + 1e-3  # still monomial, no longer unitary
-    cert = verify_integrability(H, U, first_integrals(U, basis), basis, A=A)
+    cert = verify_integrability(H, U, basis, A=A)
     assert cert.unitarity_defect == pytest.approx(2.001e-3)
     assert not cert.passed
-    assert_matches_dense(cert, dense_certificate(H, U, cert.T, A, basis))
+    assert_matches_dense(cert, dense_certificate(H, U, A, basis))
 
 
-def test_off_diagonal_pair_in_first_integral_fails(structured):
+def test_rotated_pair_of_unitary_rows_fails(structured):
     H, A, basis = structured
     good = certify(H, None, 3)
-    T = [Ti.toarray() for Ti in good.T]
-    h = np.diag(H).real
-    occupied = np.flatnonzero(np.diag(T[0]))
-    i = occupied[0]
-    j = next(k for k in occupied if h[k] != h[i])
-    # rows i and j now hold two nonzeros each: T_1 is verified densely
-    T[0][i, j] = T[0][j, i] = 1e-3
-    cert = verify_integrability(H, good.U, T, basis, A=A)
-    tol = cert.commutator_tol * (np.linalg.norm(H) + sum(np.linalg.norm(Ti) for Ti in T))
-    assert cert.max_hamiltonian_commutator > tol
-    assert not cert.passed
-    assert_matches_dense(cert, dense_certificate(H, good.U.toarray(), T, A, basis))
+    U = good.U.toarray()
+    a, n1 = np.diag(A).real, basis.indices[:, 0]
+    i = 0
+    j = next(k for k in range(STRUCTURED_D) if a[k] != a[i] and n1[k] != n1[i])
+    c, s = np.cos(1e-3), np.sin(1e-3)
+    U[[i, j]] = [c * U[i] + s * U[j], c * U[j] - s * U[i]]  # still unitary
+    for Uop in (U, sp.csr_array(U)):
+        cert = verify_integrability(H, Uop, basis, A=A)
+        assert cert.unitarity_defect <= 1e-15
+        assert cert.max_hamiltonian_commutator > commutator_gate(cert, H, basis)
+        assert not cert.passed
+        assert_matches_dense(cert, dense_certificate(H, U, A, basis))
 
 
 @pytest.mark.parametrize("entry", [np.nan, 1.0 + 1e-6j], ids=["nan", "non_hermitian"])
@@ -438,9 +441,7 @@ def test_block_H_certificate_matches_dense_reference(monkeypatch):
     assert cert.U.nnz == sum(s * s for s in sizes)
     dense = H.toarray()
     w = np.linalg.eigvalsh(dense)
-    assert_matches_dense(cert, dense_certificate(dense, cert.U.toarray(),
-                                                 [Ti.toarray() for Ti in cert.T],
-                                                 np.diag(w), basis))
+    assert_matches_dense(cert, dense_certificate(dense, cert.U.toarray(), np.diag(w), basis))
     U = cert.U.toarray()
     assert np.abs(U @ dense @ U.conj().T - np.diag(w)).max() <= 1e-12 * d
 
@@ -491,6 +492,12 @@ def test_non_finite_H_refused_with_one_message_and_no_warning(entry, layout):
             certify(H, None, 2)
 
 
+@pytest.mark.parametrize("H", [np.zeros((0, 0)), sp.csr_array((0, 0))], ids=["dense", "csr"])
+def test_empty_H_refused_with_its_message(H):
+    with pytest.raises(InputError, match="^H is 0 x 0"):
+        certify(H, None, 1)
+
+
 @pytest.mark.parametrize("make", [
     lambda: (lambda X: (X + X.T) / 2)(np.random.default_rng(34).normal(size=(200, 200))),
     lambda: permuted_blocks([1, 3, 16, 40, 40, 100], 35, dtype=float),
@@ -505,3 +512,113 @@ def test_real_H_certifies_in_its_own_field(make):
     assert got.keys() == ref.keys()
     for key, value in ref.items():
         assert abs(got[key] - value) <= 1e-12, key
+
+
+# every corruption must fail the certificate, for a dense H and for a
+# block-sparse one, and every commutator field must bound the commutators of
+# the exact U† N_i U, which the tests below form densely
+
+BLOCK_SIZES = {10: [1, 2, 3, 4], 57: [1, 3, 5, 8, 40], 200: [1, 7, 12, 40, 40, 100]}
+
+
+def certified_case(kind, d, n_modes, seed):
+    """H (dense or CSR), its certified U, the diagonal a and the basis."""
+    if kind == "dense":
+        X = np.random.default_rng(seed).normal(size=(d, 2 * d)).view(complex)
+        H = (X + X.conj().T) / 2
+    else:
+        H = permuted_blocks(BLOCK_SIZES[d], seed)
+    _, a, _ = intertwiner._eigenpairs(H)
+    cert = certify(H, None, n_modes)
+    assert cert.passed and sp.issparse(cert.U) is (kind == "blocks")
+    return H, cert.U, a, TruncationBasis.build(n_modes, d)
+
+
+def on_pattern(H, rng):
+    """A real symmetric matrix on H's sparsity pattern: everywhere for a dense H."""
+    S = rng.normal(size=H.shape)
+    S = (S + S.T) / 2
+    return sp.csr_array((H != 0).multiply(S)) if sp.issparse(H) else S
+
+
+def corrupt(name, H, U, a, basis, rng):
+    """(H, U) with one defect; a stays the diagonal certified for the clean pair."""
+    kind = sp.csr_array if sp.issparse(U) else np.asarray
+    Ud = U.toarray() if sp.issparse(U) else U.copy()
+    # rows i and j differ in a and in n_1, and their quantum numbers are not
+    # parallel, so mixing them shows in [T_1, H] and in [T_1, T_2]
+    n = basis.indices
+    i = np.flatnonzero(n[:, 0])[0]
+    j = next(k for k in range(a.size) if a[k] != a[i] and n[k, 0] != n[i, 0]
+             and (basis.n == 1 or n[i, 0] * n[k, 1] != n[i, 1] * n[k, 0]))
+    if name == "scaled_row":
+        Ud[3] *= 1 + 1e-4
+    elif name == "rotated_rows":  # still unitary
+        c, s = np.cos(1e-3), np.sin(1e-3)
+        Ud[[i, j]] = [c * Ud[i] + s * Ud[j], c * Ud[j] - s * Ud[i]]
+    elif name == "non_unitary_U":  # a shear: G = UU† − I gains the pair (i, j)
+        Ud[i] += 1e-4 * Ud[j]
+    elif name == "perturbed_H":
+        H = H + 1e-6 * on_pattern(H, rng)
+    elif name == "non_hermitian_H":
+        H = H + 1e-6j * on_pattern(H, rng)  # i S is anti-Hermitian
+    return H, kind(Ud)
+
+
+CORRUPTIONS = ["scaled_row", "rotated_rows", "non_unitary_U", "perturbed_H", "non_hermitian_H"]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("kind", ["dense", "blocks"])
+def test_corrupted_operands_fail_the_certificate(kind, corruption):
+    H, U, a, basis = certified_case(kind, 57, 2, 41)
+    assert verify_integrability(H, U, basis, A=a).passed
+    Hc, Uc = corrupt(corruption, H, U, a, basis, np.random.default_rng(42))
+    cert = verify_integrability(Hc, Uc, basis, A=a)
+    assert not cert.passed
+    gate = commutator_gate(cert, H, basis)
+    failed = {
+        "scaled_row": cert.unitarity_defect > cert.unitarity_tol,
+        "rotated_rows": cert.max_hamiltonian_commutator > gate,
+        "non_unitary_U": min(cert.unitarity_defect / cert.unitarity_tol,
+                             cert.max_pairwise_commutator / gate) > 1,
+        "perturbed_H": cert.intertwining_residual > gate,
+        "non_hermitian_H": cert.hermiticity_defect > gate,
+    }
+    assert failed[corruption]
+
+
+def rounding_scale(X, Y):
+    """‖X‖_F ‖Y‖_F: a dense product XY in double is rounded by about ε times it."""
+    return np.linalg.norm(X) * np.linalg.norm(Y)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("d", [10, 57, 200])
+@pytest.mark.parametrize("kind", ["dense", "blocks"])
+def test_commutator_fields_bound_the_dense_commutators(kind, d, n_modes):
+    """Each field is at least the commutator formed densely in the test.
+
+    The dense commutator is itself rounded, by about ε ‖X‖_F ‖Y‖_F, so each
+    comparison allows 64 times that.  A clean pair's commutators lie within
+    that allowance on both sides; the test asserts that it stays below 1% of
+    the gate, so every commutator large enough to decide ``passed`` is
+    compared.
+    """
+    H, U, a, basis = certified_case(kind, d, n_modes, 43 + d)
+    rng = np.random.default_rng(44)
+    eps = 64 * np.finfo(float).eps
+    for corruption in ["clean", *CORRUPTIONS]:
+        Hc, Uc = corrupt(corruption, H, U, a, basis, rng)
+        cert = verify_integrability(Hc, Uc, basis, A=a)
+        Hd = Hc.toarray() if sp.issparse(Hc) else Hc
+        Ud = Uc.toarray() if sp.issparse(Uc) else Uc
+        T = [Ud.conj().T @ (basis.indices[:, [i]] * Ud) for i in range(n_modes)]
+        for Ti in T:
+            ham = np.linalg.norm(Hd @ Ti - Ti @ Hd)
+            assert cert.max_hamiltonian_commutator >= ham - eps * rounding_scale(Hd, Ti), corruption
+        for i, j in combinations(range(n_modes), 2):
+            pair = np.linalg.norm(T[i] @ T[j] - T[j] @ T[i])
+            assert cert.max_pairwise_commutator >= pair - eps * rounding_scale(T[i], T[j]), corruption
+        assert eps * rounding_scale(T[0], T[-1]) < 1e-2 * commutator_gate(cert, Hd, basis)
+        assert cert.passed is (corruption == "clean"), corruption
