@@ -8,7 +8,7 @@ states.
 
 A is held as the 1-D array of its diagonal.  Its eigenvectors are basis
 vectors, so U = V_H^dagger with its rows permuted by an ``argsort`` of that
-diagonal, one expression for either kind of V_H.
+diagonal, for either kind of V_H.
 
 H is the direct sum of its blocks, the connected components of its
 sparsity graph.  One component (a general H) gets one dense eigensolve by
@@ -157,9 +157,11 @@ def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
         raise NotIsospectralError(
             f"operators are not isospectral within tol={tol:g}", report=report
         )
-    # row perm[k] of U is row k of V_H^dagger
+    # row perm[k] of U is row k of V_H^dagger: rows gathered first, then
+    # conjugated in place, so a dense U costs one d x d copy
     perm = np.argsort(a, kind="stable")
-    return VH.conj().T[np.argsort(perm)]
+    U = VH.T[np.argsort(perm)]
+    return U.conj() if sp.issparse(U) else np.conjugate(U, out=U)
 
 
 def build_unitary(H, A, tol: float | None = None):

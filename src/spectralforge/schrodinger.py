@@ -5,15 +5,17 @@ homogeneous Dirichlet walls.  Confining potentials keep the low spectrum
 discrete and box-truncation error negligible for the retained levels.
 A potential is its values at the grid nodes in row-major order, which
 ``potential`` reads from the spec ``harmonic``, ``x2y2`` or ``csv:PATH``.
-The grid is exactly mirror-symmetric, so a 2-D potential even in x and in
-y, to a few rounding errors, is solved one block at a time: the four
-parity sectors, or, when V = V^T, the C4v blocks A1, B1, A2, B2 and the
-doubly degenerate E.  An inertia count (Sylvester's law, from an LDL^T of
-H - cI) gives each block the number of its levels below one cutoff c, so
-each is asked for exactly those and a solve that skips one is refused.
-``low_spectrum`` takes every H as CSR and picks its solver from the
-structure and the level count alone; the dimension cap applies only to
-a matrix it makes dense.
+Every grid is solved as a list of blocks.  The grid is exactly
+mirror-symmetric, so a potential even in every axis, to a few rounding
+errors, splits: a 1-D grid into its even and odd halves, a 2-D grid into
+its four parity sectors or, when V = V^T, the C4v blocks A1, B1, A2, B2
+and the doubly degenerate E.  Any other grid is one block.  An inertia
+count (Sylvester's law, from an LDL^T of H - cI) gives each block the
+number of its levels below one cutoff c, so each is asked for exactly
+those and a solve that skips one is refused; a spectrum solved whole
+needs no count.  ``low_spectrum`` takes every H as CSR and picks its
+solver from the structure and the level count alone; the dimension cap
+applies only to a matrix it makes dense.
 """
 
 from __future__ import annotations
@@ -216,7 +218,21 @@ def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
 
 
 SECTORS = ("even,even", "even,odd", "odd,even", "odd,odd")  # parity in x, then in y
+PARITIES = ("even", "odd")  # the sectors of a 1-D grid
 MIRROR_RTOL = 4 * np.finfo(float).eps  # of max|V|: how far V may be from its mirrors
+
+
+def _mirror_average(grid: GridSpec, V: np.ndarray) -> np.ndarray | None:
+    """V on the grid's axes, averaged over its mirror in each axis, or None
+    when it lies farther than ``MIRROR_RTOL`` max|V| from one of them."""
+    W = V.reshape((grid.M,) * grid.dimension)
+    tol = MIRROR_RTOL * np.abs(W).max()
+    axes = range(grid.dimension)
+    if any(np.abs(W - np.flip(W, axis)).max() > tol for axis in axes):
+        return None
+    for axis in axes:
+        W = 0.5 * W + 0.5 * np.flip(W, axis)
+    return W
 
 
 def grid_levels(
@@ -224,26 +240,27 @@ def grid_levels(
 ) -> tuple[np.ndarray, dict | None]:
     """The m lowest levels of -Laplacian + V, and the levels each parity sector gave.
 
-    A 2-D V within ``MIRROR_RTOL`` max|V| of its x- and y-mirrors is
-    averaged over both (an exactly symmetric V is unchanged, and by Weyl's
+    A V within ``MIRROR_RTOL`` max|V| of its mirror in every axis is
+    averaged over them (an exactly symmetric V is unchanged, and by Weyl's
     inequality no level moves by more than the average does), so H splits
-    into the blocks of ``_blocks``, each solved for the levels an inertia
-    count puts below one cutoff.  The sector map gives each label of
-    ``SECTORS`` its blocks' share of the m levels.  Any other grid is
-    solved whole and its sector map is None.  ``cap``, checked here,
-    bounds each matrix that ``low_spectrum`` makes dense.
+    into the blocks of ``_blocks``: the even and odd halves of a 1-D grid,
+    the blocks of the four parity sectors of a 2-D one.  The sector map
+    gives each label of ``PARITIES`` or ``SECTORS`` its blocks' share of
+    the m levels.  Any other grid is one block, the whole grid, and its
+    sector map is None.  Every block is solved by ``_sector_levels``,
+    whole or for the levels an inertia count puts below one cutoff.
+    ``cap``, checked here, bounds each matrix that ``low_spectrum`` makes
+    dense.
     """
     m = int(m)
     V = _on_grid(V, grid)
     _check_level_count(m, grid.size)
     cap = dimension_cap(cap)
-    if grid.dimension == 2:
-        V2 = V.reshape(grid.M, grid.M)
-        tol = MIRROR_RTOL * np.abs(V2).max()
-        if np.abs(V2 - V2[::-1]).max() <= tol and np.abs(V2 - V2[:, ::-1]).max() <= tol:
-            W = 0.5 * V2 + 0.5 * V2[::-1]
-            return _sector_levels(grid, 0.5 * W + 0.5 * W[:, ::-1], m, cap)
-    return low_spectrum(assemble_sparse(grid, V), m, cap), None
+    W = _mirror_average(grid, V)
+    if W is None:
+        whole = [("grid", assemble_sparse(grid, V), ("grid",))]
+        return _sector_levels(whole, ("grid",), m, cap)[0], None
+    return _sector_levels(_blocks(grid, W), PARITIES if grid.dimension == 1 else SECTORS, m, cap)
 
 
 CUTOFF_RTOL = 1e-9  # the cutoff's height above the first block's top level, relative
@@ -266,16 +283,21 @@ def _swap_isometry(n: int, sign: float) -> sp.csr_matrix:
 
 
 def _blocks(grid: GridSpec, V: np.ndarray) -> list[tuple[str, sp.csr_matrix, tuple[str, ...]]]:
-    """The blocks of -Laplacian + V, V symmetric under x -> -x and y -> -y.
+    """The blocks of -Laplacian + V, V an M-vector even in x or an M x M
+    array even in x and in y.
 
-    Each is (name, operator, the ``SECTORS`` labels of its copies).  With
+    Each is (name, operator, the ``PARITIES`` or ``SECTORS`` labels of its
+    copies).  A 1-D grid splits into its even and odd halves, each with V
+    at the nodes that label its basis on the diagonal.  In 2-D, with
     V = V^T the swap x <-> y splits (even, even) into A1 and B1 and
     (odd, odd) into A2 and B2, H_b = P^T H P for the isometry P of
     ``_swap_isometry``, and maps (even, odd), the block E, onto (odd, even).
     Otherwise the blocks are the four parity sectors.  The first block
     holds the ground state, which is positive.
     """
-    axis = {p: _parity_laplacian(grid.M, grid.h, p == "odd") for p in ("even", "odd")}
+    axis = {p: _parity_laplacian(grid.M, grid.h, p == "odd") for p in PARITIES}
+    if grid.dimension == 1:
+        return [(p, (T + sp.diags(V[nodes])).tocsr(), (p,)) for p, (T, nodes) in axis.items()]
 
     def sector(label):
         (Tx, ix), (Ty, iy) = (axis[p] for p in label.split(","))
@@ -325,18 +347,21 @@ def _counts_below(blocks, c: float) -> tuple[list[int], float]:
     raise np.linalg.LinAlgError(f"no cutoff near {c:.17g} gives every block nonzero pivots")
 
 
-def _sector_levels(grid: GridSpec, V: np.ndarray, m: int, cap) -> tuple[np.ndarray, dict]:
-    """The m lowest levels of -Laplacian + V, V symmetric under x -> -x and y -> -y.
+def _sector_levels(blocks, labels: tuple[str, ...], m: int, cap) -> tuple[np.ndarray, dict]:
+    """The m lowest levels of the direct sum of ``blocks``, and each label's share of them.
 
-    The first block is solved for its share k of the m levels and a
-    cutoff c put just above its top level; k doubles until the blocks'
-    inertia counts below c, with multiplicity, reach m.  Each block is then
-    solved for exactly its count, and one whose solver finds a different
-    number of levels below c is refused, so no level below c is skipped.
+    ``blocks`` is a list of (name, operator, the labels of its copies), the
+    first holding the ground state.  The first block is solved for its
+    share k of the m levels, at most m, and a cutoff c put just above its
+    top level; k doubles until the blocks' inertia counts below c, with
+    multiplicity, reach m.  Each block is then solved for exactly its
+    count, and one whose solver finds a different number of levels below c
+    is refused, so no level below c is skipped.  A first block solved
+    whole puts c at infinity and every block is solved whole, uncounted.
     """
-    blocks = _blocks(grid, V)
     H1 = blocks[0][1]
-    k = min(H1.shape[0], -(-2 * m * H1.shape[0] // grid.size))
+    size = sum(H.shape[0] * len(copies) for _, H, copies in blocks)
+    k = min(H1.shape[0], m, -(-2 * m * H1.shape[0] // size))
     while True:
         first = low_spectrum(H1, k, cap)
         if k == H1.shape[0]:  # solved whole, so every level lies below c = inf
@@ -346,7 +371,7 @@ def _sector_levels(grid: GridSpec, V: np.ndarray, m: int, cap) -> tuple[np.ndarr
         if sum(n * len(copies) for n, (_, _, copies) in zip(counts, blocks)) >= m:
             break
         k = min(2 * k, H1.shape[0])
-    found = {label: [] for label in SECTORS}
+    found = {label: [] for label in labels}
     for (name, H, copies), n in zip(blocks, counts):
         if H is H1 and n <= k:
             w = first
@@ -359,12 +384,12 @@ def _sector_levels(grid: GridSpec, V: np.ndarray, m: int, cap) -> tuple[np.ndarr
             )
         for label in copies:
             found[label].append(w)
-    parts = [np.concatenate(found[label]) for label in SECTORS]
+    parts = [np.concatenate(found[label]) for label in labels]
     values = np.concatenate(parts)
     order = np.argsort(values, kind="stable")[:m]
-    given = np.bincount(np.repeat(np.arange(len(SECTORS)), [p.size for p in parts])[order],
-                        minlength=len(SECTORS))
-    return values[order], {label: int(n) for label, n in zip(SECTORS, given)}
+    given = np.bincount(np.repeat(np.arange(len(labels)), [p.size for p in parts])[order],
+                        minlength=len(labels))
+    return values[order], {label: int(n) for label, n in zip(labels, given)}
 
 
 def pipeline_integrate(grid: GridSpec, V, n_modes: int, m: int) -> IntegrabilityCertificate:

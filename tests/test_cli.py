@@ -261,7 +261,29 @@ def test_schrodinger_pipeline_solves_spectrum_once(capsys, monkeypatch):
     code, report = run_report(argv, capsys)
     assert code == 0
     assert report["certificate"]["passed"] is True
-    assert calls == [10]
+    # each parity half once: the even half for its share of 10 levels, the odd
+    # half for the 9 that its count puts below the even half's top level
+    assert calls == [10, 9]
+
+
+@pytest.mark.parametrize("points, levels", [(201, 30), (200, 200)])
+def test_schrodinger_1d_report_sectors_sum_to_levels(capsys, points, levels):
+    code, report = run_report(["schrodinger", "--points", str(points), "--levels", str(levels),
+                               "--no-timestamp"], capsys)
+    assert code == 0 and len(report["levels"]) == levels
+    assert list(report["sectors"]) == ["even", "odd"]
+    assert sum(report["sectors"].values()) == levels
+
+
+def test_schrodinger_asymmetric_1d_table_has_no_sectors(tmp_path, capsys):
+    grid = schrodinger.GridSpec(1, 6.0, 40)
+    x = grid.axis_nodes().tolist()
+    path = tmp_path / "v.csv"
+    path.write_text("".join(f"{xi!r},{(xi - 1.0) ** 2!r}\n" for xi in x))
+    code, report = run_report(["schrodinger", "--half-width", "6", "--points", "40",
+                               "--levels", "6", "--potential", f"csv:{path}",
+                               "--no-timestamp"], capsys)
+    assert code == 0 and len(report["levels"]) == 6 and "sectors" not in report
 
 
 def _src_env() -> dict:

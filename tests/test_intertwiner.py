@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -385,6 +386,23 @@ def test_build_unitary_kind_follows_H():
     assert isinstance(U, np.ndarray)
     assert np.array_equal(U, build_unitary(sparse_diagonal(h), h).toarray())
     assert np.array_equal(U @ np.diag(h), np.diag(h) @ U)
+
+
+def test_dense_intertwiner_allocates_only_U():
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
+    _, wH, VH = intertwiner._eigenpairs((X + X.conj().T) / 2)
+    a = rng.permutation(wH)
+    perm = np.argsort(a, kind="stable")
+    tracemalloc.start()
+    try:
+        U = intertwiner._intertwine(wH, VH, a, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one d x d array, U itself, plus O(d) for the match and the permutation
+    assert peak < U.nbytes + 64 * U.shape[0] * 8
+    assert U.flags.c_contiguous and np.array_equal(U, VH.conj().T[np.argsort(perm)])
 
 
 def test_first_integrals_of_sparse_permutation_are_csr_diagonals():

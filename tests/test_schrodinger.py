@@ -469,6 +469,111 @@ def test_asymmetric_2d_potential_solves_full_grid(monkeypatch):
     _assert_close(levels, _full_grid_levels(grid, V, 6))
 
 
+def _skipping(solve, skip):
+    """``solve(k)`` that gives k - 1 levels ("lowest") or k with the second skipped."""
+    if skip == "lowest":
+        return lambda k: solve(k)[1:]
+    return lambda k: np.delete(solve(k + 1), 1)
+
+
+@pytest.mark.parametrize("skip", ["lowest", "second"])
+def test_lanczos_that_misses_a_level_of_a_whole_grid_is_refused(monkeypatch, skip):
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda A, k, **kwargs: _skipping(
+        lambda j: np.sort(eigsh(A, k=j, **kwargs)), skip)(k))
+    grid = GridSpec(2, 6.0, 24)
+    x = grid.axis_nodes()
+    # x^2 y^2 + ((x - 0.3)(y - 0.7))^2 / 2: no mirror, and no level within 1e-9 of another
+    V = ((x[:, None] * x[None, :]) ** 2 + 0.5 * ((x[:, None] - 0.3) * (x[None, :] - 0.7)) ** 2)
+    with pytest.raises(np.linalg.LinAlgError, match="block grid"):
+        grid_levels(grid, V.ravel(), 12)
+
+
+def _double_well(grid):
+    x = grid.axis_nodes()
+    return (x * x - 4.0) ** 2  # exactly even, with near-degenerate tunnelling pairs
+
+
+@pytest.mark.parametrize("share", ["5", "half", "all"])
+@pytest.mark.parametrize("M", [64, 65, 1000])
+@pytest.mark.parametrize("spec", ["harmonic", "double_well"])
+def test_1d_parity_levels_match_whole_grid(spec, M, share):
+    # at M = 1000 the top harmonic levels come in pairs 4e-16 apart, wells at the walls
+    grid = GridSpec(1, 10.0 if M == 1000 else 6.0, M)
+    V = potential("harmonic", grid) if spec == "harmonic" else _double_well(grid)
+    m = {"5": 5, "half": M // 2, "all": M}[share]
+    levels, sectors = grid_levels(grid, V, m)
+    _assert_close(levels, _full_grid_levels(grid, V, m))
+    assert list(sectors) == list(schrodinger.PARITIES) and sum(sectors.values()) == m
+
+
+def test_1d_grid_counts_each_parity_half_once(monkeypatch):
+    grid = GridSpec(1, 10.0, 200)
+    V = potential("harmonic", grid)
+    ref = _full_grid_levels(grid, V, 10)
+    blocks = schrodinger._blocks(grid, V)
+    assert [(name, H.shape[0]) for name, H, _ in blocks] == [("even", 100), ("odd", 100)]
+    counts, cutoffs = _recorded_counts(monkeypatch, blocks)
+    calls = _counted_solves(monkeypatch, blocks)
+    levels, sectors = grid_levels(grid, V, 10)
+    _assert_close(levels, ref)
+    # the even half is asked for min(100, 10, ceil(2 * 10 * 100 / 200)) = 10 levels,
+    # the 19th level of the grid; the odd half holds 9 below it
+    assert len(cutoffs) == 1 and counts == [("even", 10), ("odd", 9)]
+    assert calls == [("even", 10), ("odd", 9)] and sectors == {"even": 5, "odd": 5}
+
+
+@pytest.mark.parametrize("M", [200, 201])
+def test_1d_grid_solved_whole_factors_no_count(monkeypatch, M):
+    grid = GridSpec(1, 10.0, M)
+    V = potential("harmonic", grid)
+    ref = _full_grid_levels(grid, V, M)
+
+    def no_count(H, c):
+        raise AssertionError("a first block solved whole leaves nothing to count")
+
+    monkeypatch.setattr(schrodinger, "_count_below", no_count)
+    calls = _counted_solves(monkeypatch)
+    levels, sectors = grid_levels(grid, V, M)
+    _assert_close(levels, ref)
+    assert calls == [((M + 1) // 2, (M + 1) // 2), (M // 2, M // 2)]
+    assert sectors == {"even": (M + 1) // 2, "odd": M // 2}
+
+
+def test_asymmetric_1d_potential_is_one_counted_block(monkeypatch):
+    grid = GridSpec(1, 6.0, 101)
+    V = (grid.axis_nodes() - 1.0) ** 2
+    ref = _full_grid_levels(grid, V, 8)
+    counts, count = [], schrodinger._count_below
+
+    def recorded(H, c):
+        counts.append((H.shape[0], count(H, c)))
+        return counts[-1][1]
+
+    monkeypatch.setattr(schrodinger, "_count_below", recorded)
+    calls = _counted_solves(monkeypatch)
+    levels, sectors = grid_levels(grid, V, 8)
+    _assert_close(levels, ref)
+    # a single block asks for m levels, not 2m, and its count proves them complete
+    assert sectors is None and calls == [(101, 8)] and counts == [(101, 8)]
+
+
+@pytest.mark.parametrize("skip", ["lowest", "second"])
+def test_tridiagonal_solve_that_misses_a_level_is_refused(monkeypatch, skip):
+    eigvalsh = schrodinger.eigvalsh_tridiagonal
+
+    def missing(d, e, select="a", select_range=None):
+        if select == "a":
+            return eigvalsh(d, e)
+        return _skipping(lambda k: eigvalsh(d, e, select="i", select_range=(0, k - 1)),
+                         skip)(select_range[1] + 1)
+
+    monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal", missing)
+    grid = GridSpec(1, 10.0, 200)
+    with pytest.raises(np.linalg.LinAlgError, match="block (even|odd)"):
+        grid_levels(grid, potential("harmonic", grid), 10)
+
+
 def test_grid_levels_range_check():
     grid = GridSpec(2, 8.0, 16)
     with pytest.raises(InputError, match="out of range 1..256"):
