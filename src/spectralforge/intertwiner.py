@@ -65,33 +65,21 @@ def _components(M) -> tuple[int, np.ndarray]:
     return connected_components(sp.csr_array(M != 0), directed=False)
 
 
-def _diagonal(A, name: str = "A") -> np.ndarray:
-    """Real diagonal of A, given as that 1-D diagonal or as a diagonal matrix.
+def _diagonal(A) -> np.ndarray:
+    """The real 1-D diagonal A of a diagonal operator, as a float copy.
 
-    The matrix may be dense or sparse, and it is diagonal when every
-    component of its sparsity graph has one node.  Rejects entries that are
-    not finite, and a Hermiticity defect above HERMITICITY_RTOL.  Always a
-    copy, so no dense A outlives the caller's reference to it.
+    Rejects an A that is not 1-D, entries that are not finite, and a
+    Hermiticity defect above HERMITICITY_RTOL.
     """
-    arr = A if sp.issparse(A) else np.asarray(A)
-    if arr.ndim == 2:
-        if arr.shape[0] != arr.shape[1]:
-            raise InputError(f"{name} must be square, got shape {arr.shape}")
-        if _components(arr)[0] != arr.shape[0]:
-            raise InputError(f"{name} must be diagonal")
-        diag = arr.diagonal()
-    elif arr.ndim == 1:
-        diag = arr
-    else:
-        raise InputError(
-            f"{name} must be a diagonal matrix or its 1-D diagonal, got {arr.ndim}-D"
-        )
+    diag = np.asarray(A)
+    if diag.ndim != 1:
+        raise InputError(f"A must be the 1-D diagonal of a diagonal operator, got {diag.ndim}-D")
     if not np.isfinite(diag).all():
-        raise InputError(f"{name} has entries that are not finite")
+        raise InputError("A has entries that are not finite")
     scale = max(1.0, float(np.abs(diag).max()) if diag.size else 0.0)
     # the same defect |M - M^dagger| that fockspace.is_hermitian measures
     if diag.size and float(np.abs(diag - diag.conj()).max()) > HERMITICITY_RTOL * scale:
-        raise InputError(f"{name} is not Hermitian: its diagonal is not real")
+        raise InputError("A is not Hermitian: its diagonal is not real")
     return diag.real.astype(float)
 
 
@@ -165,20 +153,19 @@ def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
 
 
 def build_unitary(H, A, tol: float | None = None):
-    """Unitary U with UH = AU, built from ascending-ordered eigenbases.
+    """Unitary U with UH = diag(A) U, built from ascending-ordered eigenbases.
 
-    A is diagonal, given as a matrix or as its 1-D diagonal.  Requires the
-    two spectra to match as multisets within ``tol`` (default
-    1e-9 * max(1, spectral range)).  U is a CSR array for a sparse H of
-    several components, and a dense array for any other H.
+    A is the 1-D diagonal of the diagonal operator.  Requires the two
+    spectra to match as multisets within ``tol`` (default
+    1e-9 * max(1, spectral range)).  U is of the kind ``certify`` gives:
+    a CSR array for an H, dense or sparse, of several components, and a
+    dense array for an H of one.
     """
-    dense = not sp.issparse(H)
     H, wH, VH = _eigenpairs(H)
     a = _diagonal(A)
     if H.shape != (a.size, a.size):
         raise InputError(f"dimension mismatch: {H.shape} vs {(a.size, a.size)}")
-    U = _intertwine(wH, VH, a, tol)
-    return U.toarray() if dense and sp.issparse(U) else U
+    return _intertwine(wH, VH, a, tol)
 
 
 def first_integrals(U, basis: TruncationBasis) -> list:
@@ -207,7 +194,7 @@ class IntegrabilityCertificate:
     R = UH − diag(a) U and G = UU† − I: up to the rounding of measuring R
     and G, never below ‖[H, T_i]‖_F and ‖[T_i, T_j]‖_F.
     ``unitarity_defect`` is max|UU† − I|, ``hermiticity_defect`` is
-    ‖H − H†‖_F, and ``intertwining_residual`` is ‖R‖_F when A is given.
+    ‖H − H†‖_F, and ``intertwining_residual`` is ‖R‖_F.
     """
 
     dim: int
@@ -215,7 +202,7 @@ class IntegrabilityCertificate:
     U: object = field(repr=False)  # from certify: CSR for an H of several components, else dense
     T: list | None = field(repr=False)  # attached by certify, of the same kind as U
     unitarity_defect: float
-    intertwining_residual: float | None
+    intertwining_residual: float
     hermiticity_defect: float
     max_pairwise_commutator: float
     max_hamiltonian_commutator: float
@@ -248,25 +235,15 @@ def _squared_moduli(M):
     return sp.csr_array(M.multiply(M)) if sp.issparse(M) else np.square(M, out=M)
 
 
-def _row_sums(M) -> np.ndarray:
-    return np.asarray(M.sum(axis=1)).ravel()
-
-
-def _residual_row_norms(U, H, a: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal a and the squared row norms of R = UH − diag(a) U.
-
-    Without a given ``a``, each a_k is the Rayleigh quotient Re (UHU†)_kk,
-    which makes row k of R shortest when that row of U is a unit vector.
-    """
+def _residual_row_norms(U, H, a: np.ndarray) -> np.ndarray:
+    """The squared row norms of R = UH − diag(a) U."""
     R = U @ H  # CSR when U and H both are, else dense
-    if a is None:
-        a = _row_sums(U.conj().multiply(R) if sp.issparse(U) else U.conj() * R).real
     if sp.issparse(R):
         R = R - sparse_diagonal(a) @ U
     else:
         R = np.asarray(R, dtype=np.result_type(R, float))  # in place below, so inexact
         R -= a[:, None] * (U.toarray() if sp.issparse(U) else U)
-    return a, _row_sums(_squared_moduli(R))
+    return np.asarray(_squared_moduli(R).sum(axis=1)).ravel()
 
 
 def _gram_defect(U):
@@ -291,12 +268,12 @@ def _antisymmetric_mass(P, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("kl,kl,kl->", C, C, P))
 
 
-def verify_integrability(H, U, basis: TruncationBasis, A=None) -> IntegrabilityCertificate:
+def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertificate:
     """Bound the commutators of T_i = U† N_i U, and measure unitarity and independence.
 
-    Reads only H, U, the number diagonals n_i and the diagonal a of A, and
-    measures two residuals, R = UH − diag(a) U and G = UU† − I.  For any U
-    and any real diagonal a, with D = H − H†,
+    Reads only H, U, the number diagonals n_i and A, the 1-D diagonal a of
+    the diagonal operator, and measures two residuals, R = UH − diag(a) U
+    and G = UU† − I.  For any U and any real diagonal a, with D = H − H†,
 
         [T_i, H] = U† N_i R − R† N_i U − D T_i,
         [T_i, T_j] = U† (N_i G N_j − N_j G N_i) U,
@@ -310,13 +287,11 @@ def verify_integrability(H, U, basis: TruncationBasis, A=None) -> IntegrabilityC
     each from R's row norms and G's entries in O(d²), or O(nnz) for CSR
     operands; the D term vanishes for an exactly Hermitian H.  No T_i is
     formed.  ``unitarity_defect`` is max|G|, ``hermiticity_defect`` is
-    ‖D‖_F, and ``intertwining_residual`` is ‖R‖_F when A, a diagonal matrix
-    or its 1-D diagonal, is given; without A each a_k is the Rayleigh
-    quotient (UHU†)_kk.  The commutator bounds, the Hermiticity defect and
-    the intertwining residual are gated against ``DEFAULT_COMMUTATOR_TOL``
-    times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the unitarity defect against
-    ``UNITARITY_TOL_PER_DIM`` times d.  Sparse operands are multiplied as
-    CSR and dense ones densely.
+    ‖D‖_F, and ``intertwining_residual`` is ‖R‖_F.  The commutator bounds,
+    the Hermiticity defect and the intertwining residual are gated against
+    ``DEFAULT_COMMUTATOR_TOL`` times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the
+    unitarity defect against ``UNITARITY_TOL_PER_DIM`` times d.  Sparse
+    operands are multiplied as CSR and dense ones densely.
 
     Failures are reported in the certificate, never raised.
     """
@@ -324,17 +299,15 @@ def verify_integrability(H, U, basis: TruncationBasis, A=None) -> IntegrabilityC
     d = Hop.shape[0]
     if Hop.shape != (d, d) or Uop.shape != (d, d) or basis.d != d:
         raise InputError("H, U and the basis must share the Hamiltonian's dimension")
-    a = None
-    if A is not None:
-        a = _diagonal(A)
-        if a.size != d:
-            raise InputError(f"A has dimension {a.size}, the Hamiltonian {d}")
+    a = _diagonal(A)
+    if a.size != d:
+        raise InputError(f"A has dimension {a.size}, the Hamiltonian {d}")
     n = [_number_diagonal(basis, i) for i in range(1, basis.n + 1)]
 
     # each residual is reduced to vectors and scalars as soon as it is
     # measured, and freed before the next one is formed
     herm_defect = _frob(Hop - Hop.conj().T)
-    a, r2 = _residual_row_norms(Uop, Hop, a)
+    r2 = _residual_row_norms(Uop, Hop, a)
     P, unit_defect = _gram_defect(Uop)
     u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
     pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
@@ -342,7 +315,7 @@ def verify_integrability(H, U, basis: TruncationBasis, A=None) -> IntegrabilityC
     max_pair = u2 * float(np.sqrt(pair_mass))
     max_ham = max((2.0 * float(np.sqrt(u2 * np.dot(x * x, r2))) + herm_defect * float(x.max()) * u2
                    for x in n), default=0.0)
-    inter_res = None if A is None else float(np.sqrt(r2.sum()))
+    inter_res = float(np.sqrt(r2.sum()))
 
     # exact integer check: the quantum-number tuples must separate states;
     # once the rows are sorted, a repeated tuple sits next to its twin
@@ -351,7 +324,7 @@ def verify_integrability(H, U, basis: TruncationBasis, A=None) -> IntegrabilityC
 
     scale = _frob(Hop) + sum(float(np.linalg.norm(x)) for x in n)
     bound = DEFAULT_COMMUTATOR_TOL * max(1.0, scale)
-    residuals = (max_pair, max_ham, herm_defect, 0.0 if inter_res is None else inter_res)
+    residuals = (max_pair, max_ham, herm_defect, inter_res)
     passed = (
         independence
         and all(r <= bound for r in residuals)

@@ -6,13 +6,14 @@ degree, ties broken lexicographically.  For n=2 the order starts
     (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), (0,3), ...
 
 ``encode`` and ``decode`` are exact inverses for every dimension n >= 1.
-Ranks are Python integers, so they never wrap; the vectorized variants
-work in int64 and refuse inputs that could overflow.
+Ranks are Python integers, so they never wrap.  ``encode_many`` works in
+int64 and refuses inputs that could overflow; ``enumerate_first`` does no
+rank arithmetic, and its counts stay below d (m + 1), m = min(n, d - 1),
+for any n.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -80,26 +81,13 @@ def decode(rank: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All weak compositions of ``total`` into ``parts`` parts, lex order."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        return np.stack([first, total - first], axis=1)
-    blocks = []
-    for first in range(total + 1):
-        tail = _compositions(total - first, parts - 1)
-        head = np.full((tail.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, tail]))
-    return np.vstack(blocks)
-
-
 def enumerate_first(d: int, n: int) -> np.ndarray:
     """First ``d`` multi-indices of dimension ``n``, as a (d, n) int64 array.
 
-    Row k equals ``decode(k, n)``.
+    Row k equals ``decode(k, n)``, decoded for every k at once, one column
+    at a time.  An index whose entry j is nonzero has rank at least n - j,
+    so only the last m = min(n, d - 1) columns are nonzero, and the work
+    and the counts involved are bounded by d and m, never by n.
     """
     d = int(d)
     n = int(n)
@@ -109,17 +97,35 @@ def enumerate_first(d: int, n: int) -> np.ndarray:
         raise InputError("dimension must be >= 1")
     if n == 1:
         return np.arange(d, dtype=np.int64).reshape(d, 1)
-    out = np.empty((d, n), dtype=np.int64)
-    pos = 0
-    degree = 0
-    while pos < d:
-        if degree > _int64_degree_cap(n):
-            raise CapacityError("enumeration degree too large for int64 storage")
-        block = _compositions(degree, n)
-        take = min(block.shape[0], d - pos)
-        out[pos : pos + take] = block[:take]
-        pos += take
-        degree += 1
+    try:
+        out = np.zeros((d, n), dtype=np.int64)
+    except ValueError as exc:  # numpy refuses a shape past its index range
+        raise CapacityError(f"a {d} x {n} multi-index table: {exc}") from None
+    m = min(n, max(2, d - 1))  # at least the two columns of the closed form below
+    # S[x] = C(x + p, p), the count of p-dimensional indices of degree <= x,
+    # for p = m and x up to the degree of row d - 1
+    S = [1]
+    while S[-1] < d:
+        S.append(comb(len(S) + m, m))
+    S = np.array(S, dtype=np.int64)
+    first = np.concatenate(([0], S[:-1]))  # the first row of each degree
+    size = np.minimum(S, d) - first
+    r = np.repeat(np.arange(S.size), size)  # the degree of row k
+    rest = np.arange(d) - np.repeat(first, size)  # its rank within that degree
+    cols = out[:, n - m :]
+    for j in range(m - 2):
+        # with p = m - j - 1 columns after j, entry a of column j skips the
+        # C(r + p, p) - C(r - a + p, p) indices whose entry j is below a, so
+        # r - a is the least x with C(x + p, p) >= C(r + p, p) - rest
+        S[1:] = np.diff(S)
+        above = S[r] - rest
+        x = np.searchsorted(S, above)
+        cols[:, j] = r - x
+        rest = S[x] - above
+        r = x
+    # the last two columns hold composition number ``rest`` of r into two parts
+    cols[:, -2] = rest
+    cols[:, -1] = r - rest
     return out
 
 

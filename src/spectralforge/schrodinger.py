@@ -177,7 +177,8 @@ def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
 
     A dense H is taken as CSR, so every H meets one dispatch.  A
     tridiagonal H (every 1-D grid) uses the tridiagonal solver: MRRR for
-    the whole spectrum and bisection for fewer levels.  Any other H uses
+    the whole spectrum, of which the lowest m are kept, when m is at least
+    dim/16, and bisection for fewer levels.  Any other H uses
     the dense solver for all levels or all but one, within the dimension
     ``cap`` (default ``fockspace.dimension_cap()``), and shift-invert
     Lanczos anchored below the spectrum for fewer levels.
@@ -191,8 +192,10 @@ def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
         # real one with off-diagonal |e|
         e = H.diagonal(1)
         e = np.abs(e) if np.iscomplexobj(e) else e
-        if m == dim:
-            return eigvalsh_tridiagonal(H.diagonal().real, e)
+        # MRRR for the whole spectrum costs about as much as bisection for
+        # dim/16 levels
+        if m >= dim / 16:
+            return eigvalsh_tridiagonal(H.diagonal().real, e)[:m]
         return eigvalsh_tridiagonal(
             H.diagonal().real, e, select="i", select_range=(0, m - 1)
         )

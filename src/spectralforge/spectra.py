@@ -67,8 +67,8 @@ def completely_isospectral(a, b, tol: float) -> IsospectralReport:
     A length mismatch yields ``matched=False`` with both tails reported,
     never an exception.
     """
-    if tol < 0:
-        raise InputError("tolerance must be >= 0")
+    if not tol >= 0:  # also refuses NaN, which compares false
+        raise InputError(f"tolerance must be >= 0, got {tol}")
     sa = np.sort(as_spectrum(a))
     sb = np.sort(as_spectrum(b))
     k = min(sa.size, sb.size)

@@ -716,6 +716,20 @@ def test_allocation_failure_exit_3_one_line(tmp_path, capsys, monkeypatch, error
     assert _one_error_line(captured, "error: capacity:") and names in captured.err
 
 
+def test_many_modes_certify_and_too_many_exit_3_one_line(tmp_path, capsys):
+    matrix = tmp_path / "op20.json"
+    code, _ = run_report(["synthesize", "--set", "finite:0,1,2", "--count", "12",
+                          "--modes", "20", "--out", str(matrix), "--no-timestamp"], capsys)
+    assert code == 0
+    code, report = run_report(["verify", "--matrix", str(matrix), "--modes", "20",
+                               "--no-timestamp"], capsys)
+    assert code == 0 and report["certificate"]["n_modes"] == 20
+    # a basis table numpy cannot even shape is a capacity error, not a traceback
+    argv = ["synthesize", "--set", "finite:1,2", "--count", "5", "--modes", str(10**19)]
+    assert cli.run(argv) == 3
+    assert _one_error_line(capsys.readouterr(), "error: capacity:")
+
+
 def test_lanczos_that_drops_a_level_exit_3_one_line(capsys, monkeypatch):
     eigsh = spla.eigsh
     monkeypatch.setattr(schrodinger.spla, "eigsh",

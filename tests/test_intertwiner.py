@@ -35,18 +35,18 @@ def random_conjugated(seq, n_modes, unitary_seed):
 
 def test_build_unitary_identity_case():
     D = np.diag([1.0, 2.0]).astype(complex)
-    U = build_unitary(D, D, tol=0.0)
-    assert np.allclose(np.abs(U), np.eye(2))
+    U = build_unitary(D, np.diag(D), tol=0.0)
+    assert np.allclose(np.abs(U.toarray()), np.eye(2))
 
 
 def test_build_unitary_swap_case():
     H = np.array([[0, 1], [1, 0]], dtype=complex)
-    A = np.diag([-1.0, 1.0]).astype(complex)
-    U = build_unitary(H, A, tol=1e-12)
+    a = np.array([-1.0, 1.0])
+    U = build_unitary(H, a, tol=1e-12)
     s = 1 / np.sqrt(2)
     # hand eigendecomposition fixes U up to column sign
     assert np.allclose(np.abs(U), [[s, s], [s, s]])
-    assert np.abs(U @ H - A @ U).max() < 1e-12
+    assert np.abs(U @ H - np.diag(a) @ U).max() < 1e-12
 
 
 def test_build_unitary_random_conjugation():
@@ -54,21 +54,29 @@ def test_build_unitary_random_conjugation():
     Q = unitary_group.rvs(3, random_state=0)
     H = Q @ A @ Q.conj().T
     H = (H + H.conj().T) / 2
-    U = build_unitary(H, A)
+    U = build_unitary(H, np.diag(A))
     assert np.linalg.norm(U @ H - A @ U, "fro") < 1e-9
 
 
 def test_build_unitary_rejects_mismatched_spectra():
     with pytest.raises(NotIsospectralError) as excinfo:
-        build_unitary(np.diag([1.0, 2.0]).astype(complex),
-                      np.diag([1.0, 3.0]).astype(complex), tol=0.5)
+        build_unitary(np.diag([1.0, 2.0]).astype(complex), np.array([1.0, 3.0]), tol=0.5)
     assert excinfo.value.report is not None
     assert not excinfo.value.report.matched
 
 
+def test_certify_refuses_a_nan_tolerance():
+    # with a NaN tolerance every spectrum would match, and no precondition would hold
+    H = np.diag([1.0, 2.0, 4.0])
+    with pytest.raises(InputError, match="tolerance must be >= 0, got nan"):
+        certify(H, [5.0, 7.0, 9.0], 1, tol=np.nan)
+    with pytest.raises(NotIsospectralError):
+        certify(H, [5.0, 7.0, 9.0], 1, tol=0.5)
+
+
 def test_build_unitary_rejects_dimension_mismatch():
-    with pytest.raises(InputError):
-        build_unitary(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+    with pytest.raises(InputError, match="dimension mismatch"):
+        build_unitary(np.eye(2, dtype=complex), np.ones(3))
 
 
 def test_first_integrals_identity_conjugation():
@@ -92,7 +100,7 @@ def test_verify_all_diagonal():
     basis = TruncationBasis.build(2, 3)
     A = synthesize(seq, basis)
     U = np.eye(3, dtype=complex)
-    cert = verify_integrability(A, U, basis, A=A)
+    cert = verify_integrability(A, U, basis, A=np.diag(A))
     assert cert.passed
     assert cert.max_pairwise_commutator == 0.0
     assert cert.max_hamiltonian_commutator == 0.0
@@ -102,8 +110,8 @@ def test_verify_all_diagonal():
 def test_verify_with_degenerate_levels():
     # repeated eigenvalues stay separated by their quantum numbers
     H, A, basis = random_conjugated([7.0, 7.0, 5.0, 5.0, 5.0, 1.0], 2, 3)
-    U = build_unitary(H, A)
-    cert = verify_integrability(H, U, basis, A=A)
+    U = build_unitary(H, np.diag(A))
+    cert = verify_integrability(H, U, basis, A=np.diag(A))
     assert cert.passed
     assert cert.independence
 
@@ -118,7 +126,8 @@ def test_repeated_multi_index_fails_independence():
             idx = idx[rng.permutation(d)]
             basis = TruncationBasis(n=n, d=d, indices=idx)
             U = np.eye(d, dtype=complex)
-            cert = verify_integrability(np.diag(np.arange(d, dtype=float)), U, basis)
+            a = np.arange(d, dtype=float)
+            cert = verify_integrability(np.diag(a), U, basis, A=a)
             # the Python-set reference for injectivity of the joint spectrum
             assert cert.independence is (len({tuple(row) for row in idx.tolist()}) == d)
             assert cert.independence is not repeat
@@ -162,22 +171,23 @@ def test_first_integrals_match_dense_conjugation():
 
 def test_certificate_fails_on_non_hermitian_H():
     H, A, basis = random_conjugated(np.arange(1.0, 21.0), 2, 8)
-    U = build_unitary(H, A)
-    clean = verify_integrability(H, U, basis, A=A)
+    a = np.diag(A)
+    U = build_unitary(H, a)
+    clean = verify_integrability(H, U, basis, A=a)
     assert clean.passed
     assert clean.hermiticity_defect == 0.0  # (X + X†)/2 is exactly Hermitian
     S = np.random.default_rng(0).normal(size=(20, 20))
     bad = H + 1e-6j * (S + S.T)  # a small anti-Hermitian part
-    cert = verify_integrability(bad, U, basis, A=A)
+    cert = verify_integrability(bad, U, basis, A=a)
     assert cert.hermiticity_defect > 1e-5
     assert not cert.passed
 
 
 def test_certificate_fails_on_corrupted_row_of_unitary():
     H, A, basis = random_conjugated(np.arange(1.0, 21.0), 2, 9)
-    U = build_unitary(H, A)
+    U = build_unitary(H, np.diag(A))
     U[3] += 1e-4 * np.random.default_rng(1).normal(size=20)
-    cert = verify_integrability(H, U, basis, A=A)
+    cert = verify_integrability(H, U, basis, A=np.diag(A))
     assert cert.unitarity_defect > 1e-5
     assert cert.intertwining_residual > 1e-4
     # the first integrals stop commuting with H, and the bound sees it
@@ -210,12 +220,15 @@ def test_build_unitary_rejects_non_diagonal_A():
 
 
 def test_diagonal_A_as_matrix_or_1d():
+    # A is taken only as its 1-D diagonal; a diagonal matrix, dense or sparse, is refused
     H, A, basis = random_conjugated([4.0, 1.0, 3.0, 2.0], 2, 13)
-    a = np.diag(A)
-    U = build_unitary(H, A)
-    assert np.array_equal(build_unitary(H, a), U)
-    assert (verify_integrability(H, U, basis, A=a).to_dict()
-            == verify_integrability(H, U, basis, A=A).to_dict())
+    U = build_unitary(H, np.diag(A))
+    assert verify_integrability(H, U, basis, A=np.diag(A)).passed
+    for matrix in (A, sp.csr_array(A)):
+        with pytest.raises(InputError, match="1-D diagonal"):
+            build_unitary(H, matrix)
+        with pytest.raises(InputError, match="1-D diagonal"):
+            verify_integrability(H, U, basis, A=matrix)
 
 
 def test_passed_gates_intertwining_residual():
@@ -225,10 +238,16 @@ def test_passed_gates_intertwining_residual():
     basis = TruncationBasis.build(2, 8)
     U = cert.U.toarray()
     U[[0, 7]] = U[[7, 0]]  # still a permutation: unitary, and T still commutes
-    bad = verify_integrability(H, U, basis, A=synthesize(np.arange(1.0, 9.0), basis))
+    bad = verify_integrability(H, U, basis, A=np.arange(1.0, 9.0))
     assert bad.intertwining_residual == pytest.approx(7 * np.sqrt(2))
     assert bad.unitarity_defect == 0.0
     assert not bad.passed
+    # a wrong level at the vacuum, where every n_i is 0, shows in no commutator
+    a = np.arange(1.0, 9.0)
+    a[0] += 1.0
+    vacuum = verify_integrability(H, cert.U, basis, A=a)
+    assert vacuum.max_hamiltonian_commutator == vacuum.max_pairwise_commutator == 0.0
+    assert vacuum.intertwining_residual == 1.0 and not vacuum.passed
 
 
 # structured path: a diagonal H, a permutation U and diagonal T_i are
@@ -324,7 +343,7 @@ def test_scaled_entry_of_monomial_unitary_fails(structured):
     U = certify(H, None, 3).U.toarray()
     j = np.flatnonzero(U[5])[0]
     U[5, j] *= 1 + 1e-3  # still monomial, no longer unitary
-    cert = verify_integrability(H, U, basis, A=A)
+    cert = verify_integrability(H, U, basis, A=np.diag(A))
     assert cert.unitarity_defect == pytest.approx(2.001e-3)
     assert not cert.passed
     assert_matches_dense(cert, dense_certificate(H, U, A, basis))
@@ -340,7 +359,7 @@ def test_rotated_pair_of_unitary_rows_fails(structured):
     c, s = np.cos(1e-3), np.sin(1e-3)
     U[[i, j]] = [c * U[i] + s * U[j], c * U[j] - s * U[i]]  # still unitary
     for Uop in (U, sp.csr_array(U)):
-        cert = verify_integrability(H, Uop, basis, A=A)
+        cert = verify_integrability(H, Uop, basis, A=np.diag(A))
         assert cert.unitarity_defect <= 1e-15
         assert cert.max_hamiltonian_commutator > commutator_gate(cert, H, basis)
         assert not cert.passed
@@ -381,11 +400,15 @@ def test_sparse_and_dense_diagonal_H_certify_alike(structured):
 
 
 def test_build_unitary_kind_follows_H():
-    h = np.array([3.0, 1.0, 2.0])
-    U = build_unitary(np.diag(h), h)
-    assert isinstance(U, np.ndarray)
-    assert np.array_equal(U, build_unitary(sparse_diagonal(h), h).toarray())
-    assert np.array_equal(U @ np.diag(h), np.diag(h) @ U)
+    # U is of certify's kind: CSR for an H, dense or sparse, of several components
+    X = np.random.default_rng(36).normal(size=(30, 60)).view(complex)
+    h = np.array([3.0, 1.0, 2.0, 1.0])
+    for H, sparse in (((X + X.conj().T) / 2, False), (np.diag(h), True),
+                      (sparse_diagonal(h), True), (permuted_blocks([1, 2, 3, 5], 37), True)):
+        U, ref = build_unitary(H, intertwiner._eigenpairs(H)[1]), certify(H, None, 2).U
+        assert sp.issparse(U) is sp.issparse(ref) is sparse
+        assert type(U) is type(ref) and U.dtype == ref.dtype
+        assert np.array_equal(U.toarray() if sparse else U, ref.toarray() if sparse else ref)
 
 
 def test_dense_intertwiner_allocates_only_U():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectralforge import pairing
-from spectralforge.errors import InputError
+from spectralforge.errors import CapacityError, InputError
 
 GRADED_LEX_N2_PREFIX = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
@@ -30,6 +30,22 @@ def test_enumerate_first_examples():
 
 def test_enumeration_matches_brute_force_prefix():
     assert [tuple(r) for r in pairing.enumerate_first(6, 2)] == GRADED_LEX_N2_PREFIX
+
+
+@pytest.mark.parametrize("n", [16, 20, 40])
+def test_enumerate_first_beyond_int64_rank_range(n):
+    # encode_many refuses these n, whose falling products overflow int64; the table needs none
+    idx = pairing.enumerate_first(200, n)
+    assert [tuple(row) for row in idx.tolist()] == [pairing.decode(k, n) for k in range(200)]
+
+
+def test_enumerate_first_of_many_modes_builds_only_its_rows():
+    # rank k < d has no entry before column n - d + 1, so n = 5000 costs O(d n)
+    idx = pairing.enumerate_first(3, 5000)
+    assert idx.shape == (3, 5000) and idx.sum() == 2
+    assert idx[1, -1] == 1 and idx[2, -2] == 1
+    with pytest.raises(CapacityError):
+        pairing.enumerate_first(3, 10**19)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

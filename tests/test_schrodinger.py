@@ -109,7 +109,8 @@ def test_low_spectrum_dense_and_sparse_agree():
         assert np.array_equal(low_spectrum(H.toarray(), 6), low_spectrum(H, 6))
 
 
-@pytest.mark.parametrize("m", [300, 12], ids=["whole_spectrum", "lowest_levels"])
+@pytest.mark.parametrize("m", [300, 299, 12],
+                         ids=["whole_spectrum", "all_but_one", "lowest_levels"])
 def test_low_spectrum_1d_matches_dense_eigvalsh(m, monkeypatch):
     grid = GridSpec(1, 10.0, 300)
     H = assemble_sparse(grid, potential("harmonic", grid))
@@ -118,11 +119,17 @@ def test_low_spectrum_1d_matches_dense_eigvalsh(m, monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("a tridiagonal H needs neither the dense solver nor Lanczos")
 
+    selects, solve = [], schrodinger.eigvalsh_tridiagonal
+    monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal",
+                        lambda *args, **kwargs: selects.append(kwargs.get("select", "a"))
+                        or solve(*args, **kwargs))
     monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
     monkeypatch.setattr(spla, "eigsh", no_dense)
     w = low_spectrum(H, m)
     assert w.shape == (m,)
     assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+    # bisection only below dim/16 levels, where it costs less than MRRR for all
+    assert selects == ["a" if m >= 300 / 16 else "i"]
 
 
 def test_low_spectrum_complex_hermitian_tridiagonal():
@@ -561,17 +568,24 @@ def test_asymmetric_1d_potential_is_one_counted_block(monkeypatch):
 @pytest.mark.parametrize("skip", ["lowest", "second"])
 def test_tridiagonal_solve_that_misses_a_level_is_refused(monkeypatch, skip):
     eigvalsh = schrodinger.eigvalsh_tridiagonal
+    calls = []
 
     def missing(d, e, select="a", select_range=None):
-        if select == "a":
-            return eigvalsh(d, e)
+        calls.append(select)
+        if select == "a":  # the whole spectrum, of which low_spectrum keeps the lowest m
+            w = eigvalsh(d, e)
+            return w[1:] if skip == "lowest" else np.delete(w, 1)
         return _skipping(lambda k: eigvalsh(d, e, select="i", select_range=(0, k - 1)),
                          skip)(select_range[1] + 1)
 
     monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal", missing)
     grid = GridSpec(1, 10.0, 200)
-    with pytest.raises(np.linalg.LinAlgError, match="block (even|odd)"):
-        grid_levels(grid, potential("harmonic", grid), 10)
+    # the halves have 100 levels: 3 are bisected, 10 (at least 100/16) solved whole
+    for m, select in ((3, "i"), (10, "a")):
+        calls.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="block (even|odd)"):
+            grid_levels(grid, potential("harmonic", grid), m)
+        assert set(calls) == {select}
 
 
 def test_grid_levels_range_check():

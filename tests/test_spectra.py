@@ -14,6 +14,13 @@ def test_isospectral_examples():
     assert spectra.completely_isospectral([0, 1], [1e-12, 1], 1e-9).matched
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-12])
+def test_isospectral_refuses_a_tolerance_that_is_not_at_least_0(tol):
+    # NaN compares false with everything, so it must not pass as a tolerance
+    with pytest.raises(InputError, match="tolerance must be >= 0"):
+        spectra.completely_isospectral([1, 2], [5, 9], tol)
+
+
 def test_isospectral_reflexive_and_symmetric():
     rng = np.random.default_rng(2)
     a = rng.normal(size=30)
