@@ -19,11 +19,13 @@ certificate costs O(d).  Every operator stays in H's field, so a real H
 gives real U and T_i.
 
 Verification reads only H, U, the diagonal a of A and the number diagonals
-n_i.  It measures two residuals, R = UH - diag(a) U and G = UU^dagger - I,
-and from them bounds the commutators of the exact operators
-T_i = U^dagger N_i U, with no T_i formed: [T_i, H] and [T_i, T_j] are exact
-expressions in R and G, so each bound costs O(d^2) once R and G are known,
-or O(nnz) for CSR operands.  ``unitarity_defect`` is max|UU^dagger - I|.
+n_i.  It measures the residuals R = UH - diag(a) U, R_rho = UH - diag(rho) U
+for the rows' Rayleigh quotients rho, and G = UU^dagger - I, and from them
+bounds the commutators of the exact operators T_i = U^dagger N_i U, with no
+T_i formed: [T_i, H] and [T_i, T_j] are exact expressions in R_rho and G,
+so each bound costs O(d^2) once they are known, or O(nnz) for CSR operands.
+A mode whose number diagonal is all zero has T_i = 0 and is skipped.
+``unitarity_defect`` is max|UU^dagger - I|.
 Each operand is multiplied in the kind it is given: a sparse one as CSR, a
 dense one through BLAS.  ``certify`` verifies first and forms the dense or
 CSR T_i afterwards, for its callers.
@@ -190,11 +192,12 @@ class IntegrabilityCertificate:
     """Verification record for the commuting family T_i = U† N_i U.
 
     The commutator fields bound the commutators of the exact operators
-    U† N_i U of the returned U, from the two measured residuals
-    R = UH − diag(a) U and G = UU† − I: up to the rounding of measuring R
-    and G, never below ‖[H, T_i]‖_F and ‖[T_i, T_j]‖_F.
+    U† N_i U of the returned U, from the measured residuals
+    R_ρ = UH − diag(ρ) U, ρ the rows' Rayleigh quotients, and G = UU† − I:
+    up to the rounding of measuring them, never below ‖[H, T_i]‖_F and
+    ‖[T_i, T_j]‖_F.
     ``unitarity_defect`` is max|UU† − I|, ``hermiticity_defect`` is
-    ‖H − H†‖_F, and ``intertwining_residual`` is ‖R‖_F.
+    ‖H − H†‖_F, and ``intertwining_residual`` is ‖R‖_F for R = UH − diag(a) U.
     """
 
     dim: int
@@ -235,15 +238,47 @@ def _squared_moduli(M):
     return sp.csr_array(M.multiply(M)) if sp.issparse(M) else np.square(M, out=M)
 
 
-def _residual_row_norms(U, H, a: np.ndarray) -> np.ndarray:
-    """The squared row norms of R = UH − diag(a) U."""
-    R = U @ H  # CSR when U and H both are, else dense
+def _row_sums(M) -> np.ndarray:
+    return np.asarray(M.sum(axis=1)).ravel()
+
+
+def _row_inner(X, Y) -> np.ndarray:
+    """Re⟨x_k, y_k⟩ = Re Σ_l x_kl conj(y_kl) for each row k; a dense pair
+    is read through its real and imaginary views, with no d x d temporary."""
+    if sp.issparse(X):
+        return _row_sums(X.multiply(Y.conj()).real)
+    inner = np.einsum("kl,kl->k", X.real, Y.real)
+    if np.iscomplexobj(X) and np.iscomplexobj(Y):
+        inner += np.einsum("kl,kl->k", X.imag, Y.imag)
+    return inner
+
+
+def _minus_scaled_rows(R, s: np.ndarray, U):
+    """R − diag(s) U: a new CSR array for a sparse R, else R updated in place."""
     if sp.issparse(R):
-        R = R - sparse_diagonal(a) @ U
-    else:
+        return R - sparse_diagonal(s) @ U
+    R -= s[:, None] * U
+    return R
+
+
+def _residual_row_norms(U, H, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared row norms of R = UH − diag(a) U and of R_ρ = UH − diag(ρ) U.
+
+    ρ_k = Re(u_k H u_k†)/‖u_k‖² is row k's Rayleigh quotient, a_k + δ_k with
+    δ_k = Re⟨r_k, u_k⟩/‖u_k‖², so R_ρ's rows r_k − δ_k u_k are formed entry
+    by entry from R's: an expanded ‖r_k‖² − δ_k²‖u_k‖² would cancel.
+    """
+    R = U @ H  # CSR when U and H both are, else dense
+    if not sp.issparse(R):
         R = np.asarray(R, dtype=np.result_type(R, float))  # in place below, so inexact
-        R -= a[:, None] * (U.toarray() if sp.issparse(U) else U)
-    return np.asarray(_squared_moduli(R).sum(axis=1)).ravel()
+        U = U.toarray() if sp.issparse(U) else U
+    R = _minus_scaled_rows(R, a, U)
+    r2 = _row_sums(_squared_moduli(R))
+    if not r2.any():  # R = 0, so R_ρ = R: a permutation U of a diagonal H
+        return r2, r2
+    u2 = _row_inner(U, U)
+    delta = np.divide(_row_inner(R, U), u2, out=np.zeros_like(u2), where=u2 > 0)
+    return r2, _row_sums(_squared_moduli(_minus_scaled_rows(R, delta, U)))
 
 
 def _gram_defect(U):
@@ -272,22 +307,27 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     """Bound the commutators of T_i = U† N_i U, and measure unitarity and independence.
 
     Reads only H, U, the number diagonals n_i and A, the 1-D diagonal a of
-    the diagonal operator, and measures two residuals, R = UH − diag(a) U
-    and G = UU† − I.  For any U and any real diagonal a, with D = H − H†,
+    the diagonal operator, and measures the residuals R = UH − diag(a) U,
+    R_ρ = UH − diag(ρ) U with ρ_k row k's Rayleigh quotient
+    Re(u_k H u_k†)/‖u_k‖², and G = UU† − I.  For any U and any real
+    diagonal ρ, with D = H − H†,
 
-        [T_i, H] = U† N_i R − R† N_i U − D T_i,
+        [T_i, H] = U† N_i R_ρ − R_ρ† N_i U − D T_i,
         [T_i, T_j] = U† (N_i G N_j − N_j G N_i) U,
 
     and ‖U‖₂² ≤ 1 + ‖G‖_F.  So the certificate reports
 
-        max_hamiltonian_commutator = max_i 2 √(1 + ‖G‖_F) ‖N_i R‖_F
+        max_hamiltonian_commutator = max_i 2 √(1 + ‖G‖_F) ‖N_i R_ρ‖_F
                                      + ‖D‖_F max(n_i) (1 + ‖G‖_F),
         max_pairwise_commutator = max_{i<j} (1 + ‖G‖_F) ‖(n_i n_jᵀ − n_j n_iᵀ) ∘ G‖_F,
 
-    each from R's row norms and G's entries in O(d²), or O(nnz) for CSR
-    operands; the D term vanishes for an exactly Hermitian H.  No T_i is
-    formed.  ``unitarity_defect`` is max|G|, ``hermiticity_defect`` is
-    ‖D‖_F, and ``intertwining_residual`` is ‖R‖_F.  The commutator bounds,
+    each from R_ρ's row norms and G's entries in O(d²), or O(nnz) for CSR
+    operands, over the modes whose n_i is not all zero: any other has
+    T_i = 0.  The D term vanishes for an exactly Hermitian H.  With ρ, a
+    sequence off by a uniform shift, which commutes with every T_i, adds
+    nothing to the bound.  No T_i is formed.  ``unitarity_defect`` is
+    max|G|, ``hermiticity_defect`` is ‖D‖_F, and ``intertwining_residual``
+    is ‖R‖_F, measured against a.  The commutator bounds,
     the Hermiticity defect and the intertwining residual are gated against
     ``DEFAULT_COMMUTATOR_TOL`` times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the
     unitarity defect against ``UNITARITY_TOL_PER_DIM`` times d.  Sparse
@@ -302,18 +342,19 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     a = _diagonal(A)
     if a.size != d:
         raise InputError(f"A has dimension {a.size}, the Hamiltonian {d}")
-    n = [_number_diagonal(basis, i) for i in range(1, basis.n + 1)]
+    # a mode whose number diagonal is all zero has T_i = 0: it adds 0 to every bound
+    n = [x for x in (_number_diagonal(basis, i) for i in range(1, basis.n + 1)) if x.any()]
 
     # each residual is reduced to vectors and scalars as soon as it is
     # measured, and freed before the next one is formed
     herm_defect = _frob(Hop - Hop.conj().T)
-    r2 = _residual_row_norms(Uop, Hop, a)
+    r2, rho2 = _residual_row_norms(Uop, Hop, a)
     P, unit_defect = _gram_defect(Uop)
     u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
     pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
     del P
     max_pair = u2 * float(np.sqrt(pair_mass))
-    max_ham = max((2.0 * float(np.sqrt(u2 * np.dot(x * x, r2))) + herm_defect * float(x.max()) * u2
+    max_ham = max((2.0 * float(np.sqrt(u2 * np.dot(x * x, rho2))) + herm_defect * float(x.max()) * u2
                    for x in n), default=0.0)
     inter_res = float(np.sqrt(r2.sum()))
 

@@ -172,7 +172,9 @@ def _check_level_count(m: int, dim: int) -> None:
         raise InputError(f"level count {m} out of range 1..{dim}")
 
 
-def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
+def low_spectrum(
+    H, m: int, cap: int | None = None, *, window: tuple[float, float] | None = None
+) -> np.ndarray:
     """The m smallest eigenvalues of a Hermitian matrix, ascending.
 
     A dense H is taken as CSR, so every H meets one dispatch.  A
@@ -181,7 +183,12 @@ def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
     dim/16, and bisection for fewer levels.  Any other H uses
     the dense solver for all levels or all but one, within the dimension
     ``cap`` (default ``fockspace.dimension_cap()``), and shift-invert
-    Lanczos anchored below the spectrum for fewer levels.
+    Lanczos for fewer levels.  Lanczos is shifted 1 below H's Gershgorin
+    bound, or by a ``window`` (floor, c) of a floor strictly below the
+    spectrum and a cutoff c with exactly m levels below it: 1 below the
+    floor when c is infinite, else at the window's midpoint, where those m
+    levels are the m nearest.  A shift that is exactly a level is moved by
+    ``PIVOT_RTOL``.  The tridiagonal and dense solvers ignore the window.
     """
     m = int(m)
     dim = H.shape[0]
@@ -201,18 +208,30 @@ def low_spectrum(H, m: int, cap: int | None = None) -> np.ndarray:
         )
     if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
         return np.sort(np.linalg.eigvalsh(dense_within_cap(H, cap, "ask for fewer levels")))[:m]
-    # Gershgorin lower bound keeps the shift strictly below the spectrum
-    Habs = abs(H)
-    row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
-    sigma = float((H.diagonal().real - row_radius).min()) - 1.0
+    if window is None:
+        # Gershgorin lower bound keeps the shift strictly below the spectrum
+        Habs = abs(H)
+        row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
+        sigma, width = float((H.diagonal().real - row_radius).min()) - 1.0, 0.0
+    else:
+        floor, c = float(window[0]), float(window[1])
+        # every level above c lies farther from the midpoint than any below it
+        sigma, width = (floor - 1.0, 0.0) if c == math.inf else (0.5 * (floor + c), c - floor)
     # fixed start vector keeps the Lanczos iteration bit-reproducible
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    # H is symmetric, so a minimum-degree ordering on its pattern keeps
-    # the LU fill of H - sigma I low
-    lu = spla.splu(
-        (H - sigma * sp.identity(dim, format="csr")).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-    )
+    for _ in range(4):
+        try:
+            # H is symmetric, so a minimum-degree ordering on its pattern
+            # keeps the LU fill of H - sigma I low
+            lu = spla.splu(
+                (H - sigma * sp.identity(dim, format="csr")).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+            )
+            break
+        except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is a level
+            sigma += PIVOT_RTOL * max(abs(sigma), width)
+    else:
+        raise np.linalg.LinAlgError(f"no shift near {sigma:.17g} leaves H - sigma I nonsingular")
     w = spla.eigsh(
         H, k=m, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
         OPinv=spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=H.dtype),
@@ -251,9 +270,11 @@ def grid_levels(
     gives each label of ``PARITIES`` or ``SECTORS`` its blocks' share of
     the m levels.  Any other grid is one block, the whole grid, and its
     sector map is None.  Every block is solved by ``_sector_levels``,
-    whole or for the levels an inertia count puts below one cutoff.
-    ``cap``, checked here, bounds each matrix that ``low_spectrum`` makes
-    dense.
+    whole or for the levels an inertia count puts below one cutoff.  Each
+    block compresses the positive definite Dirichlet -Laplacian plus
+    diag(V) onto an invariant subspace, so the floor min V (of the averaged
+    V when H splits) lies strictly below every block's spectrum.  ``cap``,
+    checked here, bounds each matrix that ``low_spectrum`` makes dense.
     """
     m = int(m)
     V = _on_grid(V, grid)
@@ -262,8 +283,9 @@ def grid_levels(
     W = _mirror_average(grid, V)
     if W is None:
         whole = [("grid", assemble_sparse(grid, V), ("grid",))]
-        return _sector_levels(whole, ("grid",), m, cap)[0], None
-    return _sector_levels(_blocks(grid, W), PARITIES if grid.dimension == 1 else SECTORS, m, cap)
+        return _sector_levels(whole, ("grid",), m, cap, float(V.min()))[0], None
+    labels = PARITIES if grid.dimension == 1 else SECTORS
+    return _sector_levels(_blocks(grid, W), labels, m, cap, float(W.min()))
 
 
 CUTOFF_RTOL = 1e-9  # the cutoff's height above the first block's top level, relative
@@ -350,7 +372,9 @@ def _counts_below(blocks, c: float) -> tuple[list[int], float]:
     raise np.linalg.LinAlgError(f"no cutoff near {c:.17g} gives every block nonzero pivots")
 
 
-def _sector_levels(blocks, labels: tuple[str, ...], m: int, cap) -> tuple[np.ndarray, dict]:
+def _sector_levels(
+    blocks, labels: tuple[str, ...], m: int, cap, floor: float
+) -> tuple[np.ndarray, dict]:
     """The m lowest levels of the direct sum of ``blocks``, and each label's share of them.
 
     ``blocks`` is a list of (name, operator, the labels of its copies), the
@@ -361,12 +385,15 @@ def _sector_levels(blocks, labels: tuple[str, ...], m: int, cap) -> tuple[np.nda
     count, and one whose solver finds a different number of levels below c
     is refused, so no level below c is skipped.  A first block solved
     whole puts c at infinity and every block is solved whole, uncounted.
+    ``floor`` lies strictly below every block's spectrum: Lanczos probes
+    the first block from just below it, and solves each counted block at
+    the middle of (floor, c), where its levels below c are the nearest.
     """
     H1 = blocks[0][1]
     size = sum(H.shape[0] * len(copies) for _, H, copies in blocks)
     k = min(H1.shape[0], m, -(-2 * m * H1.shape[0] // size))
     while True:
-        first = low_spectrum(H1, k, cap)
+        first = low_spectrum(H1, k, cap, window=(floor, math.inf))
         if k == H1.shape[0]:  # solved whole, so every level lies below c = inf
             c, counts = np.inf, [H.shape[0] for _, H, _ in blocks]
             break
@@ -379,7 +406,7 @@ def _sector_levels(blocks, labels: tuple[str, ...], m: int, cap) -> tuple[np.nda
         if H is H1 and n <= k:
             w = first
         else:
-            w = low_spectrum(H, n, cap) if n else np.empty(0)
+            w = low_spectrum(H, n, cap, window=(floor, c)) if n else np.empty(0)
         if w.size != n or (n and not w[-1] < c):
             raise np.linalg.LinAlgError(
                 f"block {name}: the solver found {np.count_nonzero(w < c)} levels below "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -251,9 +252,9 @@ def test_schrodinger_pipeline_solves_spectrum_once(capsys, monkeypatch):
     calls = []
     solve = schrodinger.low_spectrum
 
-    def counted(H, m, cap=None):
+    def counted(H, m, cap=None, **kwargs):
         calls.append(m)
-        return solve(H, m, cap)
+        return solve(H, m, cap, **kwargs)
 
     monkeypatch.setattr(schrodinger, "low_spectrum", counted)
     argv = ["schrodinger", "--points", "200", "--levels", "10", "--pipeline",
@@ -728,6 +729,20 @@ def test_many_modes_certify_and_too_many_exit_3_one_line(tmp_path, capsys):
     argv = ["synthesize", "--set", "finite:1,2", "--count", "5", "--modes", str(10**19)]
     assert cli.run(argv) == 3
     assert _one_error_line(capsys.readouterr(), "error: capacity:")
+
+
+def test_verify_of_a_thousand_modes_on_twelve_levels_is_fast(tmp_path, capsys):
+    matrix = tmp_path / "op.json"
+    code, _ = run_report(["synthesize", "--set", "finite:0,1,2", "--count", "12",
+                          "--out", str(matrix), "--no-timestamp"], capsys)
+    assert code == 0
+    start = time.perf_counter()
+    code, report = run_report(["verify", "--matrix", str(matrix), "--modes", "1000",
+                               "--no-timestamp"], capsys)
+    # only the 11 nonzero number columns of 1000 are paired; all 1000 took about 20 s
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and report["certificate"]["passed"] is True
+    assert report["certificate"]["n_modes"] == 1000
 
 
 def test_lanczos_that_drops_a_level_exit_3_one_line(capsys, monkeypatch):

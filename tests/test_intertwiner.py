@@ -264,15 +264,18 @@ def commutator_gate(cert, H, basis):
 
 
 def dense_certificate(H, U, A, basis, commutator_tol=1e-8):
-    """Every ``to_dict`` field, from the residuals R = UH − AU and G = UU† − I formed densely.
+    """Every ``to_dict`` field, from the residuals R = UH − AU, R_ρ = UH − diag(ρ) U
+    and G = UU† − I formed densely, ρ the rows' Rayleigh quotients.
 
-    [T_i, H] = U† N_i R − R† N_i U − D T_i with D = H − H†, and
+    [T_i, H] = U† N_i R_ρ − R_ρ† N_i U − D T_i with D = H − H†, and
     [T_i, T_j] = U† (N_i G N_j − N_j G N_i) U, bounded through ‖U‖₂² ≤ 1 + ‖G‖_F.
     """
     d = H.shape[0]
     fro = np.linalg.norm
     N = [np.diag(basis.indices[:, i].astype(float)) for i in range(basis.n)]
     R, G, D = U @ H - A @ U, U @ U.conj().T - np.eye(d), H - H.conj().T
+    rho = np.diag(U @ H @ U.conj().T).real / np.diag(G + np.eye(d)).real
+    R_rho = U @ H - rho[:, None] * U
     g = fro(G)
     pairs = [(1 + g) * fro(N[i] @ G @ N[j] - N[j] @ G @ N[i])
              for i in range(len(N)) for j in range(i + 1, len(N))]
@@ -283,7 +286,7 @@ def dense_certificate(H, U, A, basis, commutator_tol=1e-8):
         "intertwining_residual": fro(R),
         "hermiticity_defect": fro(D),
         "max_pairwise_commutator": max(pairs, default=0.0),
-        "max_hamiltonian_commutator": max(2 * np.sqrt(1 + g) * fro(Ni @ R)
+        "max_hamiltonian_commutator": max(2 * np.sqrt(1 + g) * fro(Ni @ R_rho)
                                           + fro(D) * Ni.max() * (1 + g) for Ni in N),
         "independence": True,
         "commutator_tol": commutator_tol,
@@ -663,3 +666,51 @@ def test_commutator_fields_bound_the_dense_commutators(kind, d, n_modes):
             assert cert.max_pairwise_commutator >= pair - eps * rounding_scale(T[i], T[j]), corruption
         assert eps * rounding_scale(T[0], T[-1]) < 1e-2 * commutator_gate(cert, Hd, basis)
         assert cert.passed is (corruption == "clean"), corruption
+
+
+def test_uniformly_shifted_sequence_passes_and_a_corrupted_row_still_fails():
+    """A sequence off by a uniform shift below the isospectrality tolerance
+    commutes with every T_i; the commutator bound, taken from the rows'
+    Rayleigh quotients, does not charge for it, and the residual against a does."""
+    d, shift = 200, 5e-8
+    X = np.random.default_rng(1).normal(size=(d, 2 * d)).view(complex)
+    H = (X + X.conj().T) / 2
+    cert = certify(H, np.linalg.eigvalsh(H) + shift, 3)
+    basis = TruncationBasis.build(3, d)
+    assert cert.passed
+    # as small as for the unshifted sequence, which is about 1e-6 of the gate
+    clean = certify(H, None, 3).max_hamiltonian_commutator
+    assert cert.max_hamiltonian_commutator <= 2 * clean < 1e-5 * commutator_gate(cert, H, basis)
+    assert cert.intertwining_residual == pytest.approx(shift * np.sqrt(d), rel=1e-3)
+    U = cert.U.copy()
+    U[3] += 1e-4 * np.random.default_rng(2).normal(size=d)
+    a = np.linalg.eigvalsh(H) + shift
+    bad = verify_integrability(H, U, basis, A=a)
+    assert bad.max_hamiltonian_commutator > commutator_gate(bad, H, basis)
+    assert not bad.passed
+
+
+def test_rayleigh_residual_of_a_permutation_is_the_residual(structured):
+    """For a permutation U, R = UH − diag(a) U has no real part along U's
+    rows, so R_ρ = R and diagonal-H certificates are as before."""
+    H, A, basis = structured
+    U = certify(H, None, 3).U
+    r2, rho2 = intertwiner._residual_row_norms(sp.csr_array(U), sp.csr_array(H), np.diag(A).real)
+    assert r2.any() and np.array_equal(rho2, r2)  # R is the 1e-13 imaginary part of H
+    levels = np.sort(np.random.default_rng(3).uniform(0.0, 5.0, 40))
+    U = certify(sparse_diagonal(levels), None, 2).U
+    r2, rho2 = intertwiner._residual_row_norms(U, sparse_diagonal(levels), levels)
+    assert rho2 is r2 and not r2.any()
+
+
+def test_zero_modes_are_skipped_and_the_fields_match_all_pairs():
+    """At n = 40 on d = 12, only the last 11 number columns are nonzero; the
+    certificate of a sheared U equals the one formed over all 40 modes."""
+    H, A, basis = random_conjugated(np.arange(1.0, 13.0), 40, 5)
+    assert np.count_nonzero(basis.indices.any(axis=0)) == 11
+    U = build_unitary(H, np.diag(A))
+    U[4] += 1e-4 * U[9]  # G = UU† − I gains the pair (4, 9)
+    cert = verify_integrability(H, U, basis, A=np.diag(A))
+    ref = dense_certificate(H, U, A, basis)
+    assert ref["max_pairwise_commutator"] > 0 and not cert.passed
+    assert_matches_dense(cert, ref)

@@ -340,10 +340,10 @@ def _counted_solves(monkeypatch, blocks=()):
     calls = []
     solve = schrodinger.low_spectrum
 
-    def counted(H, m, cap=None):
+    def counted(H, m, cap=None, **kwargs):
         names = [name for name, B, _ in blocks if B.shape == H.shape and abs(B - H).max() == 0]
         calls.append((names[0] if names else H.shape[0], m))
-        return solve(H, m, cap)
+        return solve(H, m, cap, **kwargs)
 
     monkeypatch.setattr(schrodinger, "low_spectrum", counted)
     return calls
@@ -612,3 +612,99 @@ def test_low_spectrum_caps_the_dense_solve_before_making_it(monkeypatch, m):
         low_spectrum(H, m)
     # fewer levels are solved by Lanczos, with no dense matrix
     assert low_spectrum(H, 10).size == 10
+
+
+def _recorded_shifts(monkeypatch):
+    """Record (window, Lanczos shift) of every sparse solve and every final cutoff."""
+    windows, sigmas, cutoffs = [], [], []
+    solve, eigsh, counts_below = schrodinger.low_spectrum, spla.eigsh, schrodinger._counts_below
+
+    def windowed(H, m, cap=None, **kwargs):
+        windows.append(kwargs["window"])
+        return solve(H, m, cap, **kwargs)
+
+    def shifted(A, k, **kwargs):
+        sigmas.append(kwargs["sigma"])
+        return eigsh(A, k=k, **kwargs)
+
+    def recorded(blocks, c):
+        counts, c = counts_below(blocks, c)
+        cutoffs.append(c)
+        return counts, c
+
+    monkeypatch.setattr(schrodinger, "low_spectrum", windowed)
+    monkeypatch.setattr(spla, "eigsh", shifted)
+    monkeypatch.setattr(schrodinger, "_counts_below", recorded)
+    return windows, sigmas, cutoffs
+
+
+@pytest.mark.parametrize("spec, M", [("x2y2", 64), ("x2y2", 65), ("harmonic", 64)])
+def test_counted_blocks_are_shifted_inside_their_window(monkeypatch, spec, M):
+    grid = GridSpec(2, 8.0, M)
+    V = potential(spec, grid)
+    windows, sigmas, cutoffs = _recorded_shifts(monkeypatch)
+    grid_levels(grid, V, 40)
+    floor = V.min()
+    assert len(windows) == len(sigmas) > 1
+    probe, *counted = zip(windows, sigmas)
+    # the first block is probed from below the floor, with no cutoff yet
+    assert probe[0] == (floor, np.inf) and probe[1] < floor
+    for (lo, c), sigma in counted:
+        assert lo == floor and c == cutoffs[-1] and lo < sigma < c
+
+
+def test_shifted_potential_shifts_every_level():
+    grid = GridSpec(2, 8.0, 64)
+    V = potential("x2y2", grid)
+    levels, sectors = grid_levels(grid, V, 40)
+    shifted, moved = grid_levels(grid, V - 50.0, 40)
+    assert moved == sectors
+    assert np.abs(shifted - (levels - 50.0)).max() <= 1e-12 * (50.0 + np.abs(levels).max())
+
+
+def test_shift_that_is_exactly_a_level_is_moved(monkeypatch):
+    grid = GridSpec(2, 8.0, 40)
+    V = potential("x2y2", grid)
+    ref = _full_grid_levels(grid, V, 20)
+    splu, lanczos = spla.splu, [0]
+
+    def singular_once(A, **kwargs):
+        if "diag_pivot_thresh" not in kwargs:  # a Lanczos factorization, not a count
+            lanczos[0] += 1
+            if lanczos[0] == 2:  # the first solve at a window's midpoint
+                raise RuntimeError("Factor is exactly singular")
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", singular_once)
+    windows, sigmas, _ = _recorded_shifts(monkeypatch)
+    levels, _ = grid_levels(grid, V, 20)
+    _assert_close(levels, ref)
+    lo, c = windows[1]
+    middle = 0.5 * (lo + c)
+    assert sigmas[1] == middle + schrodinger.PIVOT_RTOL * max(abs(middle), c - lo)
+
+
+def test_windowed_solve_takes_fewer_lanczos_steps(monkeypatch):
+    grid = GridSpec(2, 8.0, 64)
+    V = potential("x2y2", grid)
+    name, A1, _ = schrodinger._blocks(grid, V.reshape(64, 64))[0]
+    assert name == "A1"
+    top = low_spectrum(A1, 10)[-1]
+    (n,), c = schrodinger._counts_below([(name, A1, ())], top * (1 + schrodinger.CUTOFF_RTOL))
+    splu, solves = spla.splu, [0]
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, x):
+            solves[0] += 1
+            return self.lu.solve(x)
+
+    monkeypatch.setattr(spla, "splu", lambda A, **kwargs: Counted(splu(A, **kwargs)))
+    below = low_spectrum(A1, n)
+    from_below, solves[0] = solves[0], 0
+    middle = low_spectrum(A1, n, window=(V.min(), c))
+    assert solves[0] <= 0.8 * from_below
+    _assert_close(middle, below)
+    assert middle[-1] < c
