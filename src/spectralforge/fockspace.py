@@ -130,21 +130,17 @@ def dimension_cap(cap: int | None = None) -> int:
     return cap
 
 
-def check_dimension(size: int, cap: int | None = None, remedy: str = "use a coarser grid") -> None:
-    """Refuse a matrix dimension ``size`` above ``dimension_cap(cap)``."""
-    cap = dimension_cap(cap)
-    if size > cap:
-        raise CapacityError(
-            f"matrix dimension {size} exceeds cap {cap}; {remedy} or raise the cap"
-        )
-
-
 def dense_within_cap(M, cap: int | None = None, remedy: str = "give a smaller matrix"):
     """The dense form of the sparse M, made only when its width M.shape[1] is within the cap.
 
-    The one check of the cap: k stacked s x s blocks, as a (k s) x s M, are capped on s.
+    The one check of the cap, ``dimension_cap(cap)``: k stacked s x s
+    blocks, as a (k s) x s M, are capped on s.
     """
-    check_dimension(M.shape[1], cap, remedy)
+    cap = dimension_cap(cap)
+    if M.shape[1] > cap:
+        raise CapacityError(
+            f"matrix dimension {M.shape[1]} exceeds cap {cap}; {remedy} or raise the cap"
+        )
     return M.toarray()
 
 

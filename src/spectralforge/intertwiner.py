@@ -19,12 +19,15 @@ certificate costs O(d).  Every operator stays in H's field, so a real H
 gives real U and T_i.
 
 Verification reads only H, U, the diagonal a of A and the number diagonals
-n_i.  It measures the residuals R = UH - diag(a) U, R_rho = UH - diag(rho) U
-for the rows' Rayleigh quotients rho, and G = UU^dagger - I, and from them
-bounds the commutators of the exact operators T_i = U^dagger N_i U, with no
-T_i formed: [T_i, H] and [T_i, T_j] are exact expressions in R_rho and G,
-so each bound costs O(d^2) once they are known, or O(nnz) for CSR operands.
-A mode whose number diagonal is all zero has T_i = 0 and is skipped.
+n_i.  It measures the residuals R_rho = UH - diag(rho) U, for the rows'
+Rayleigh quotients rho, and G = UU^dagger - I, and from them bounds the
+commutators of the exact operators T_i = U^dagger N_i U, with no T_i
+formed: [T_i, H] and [T_i, T_j] are exact expressions in R_rho and G, so
+each bound costs O(d^2) once they are known, or O(nnz) for CSR operands.
+R = UH - diag(a) U is not formed: its row k is R_rho's plus the orthogonal
+(rho_k - a_k) u_k, so its norm follows from R_rho and rho.  A mode whose
+number diagonal is all zero has T_i = 0: verification skips it, and
+``certify`` gives every such mode one shared, read-only zero.
 ``unitarity_defect`` is max|UU^dagger - I|.
 Each operand is multiplied in the kind it is given: a sparse one as CSR, a
 dense one through BLAS.  ``certify`` verifies first and forms the dense or
@@ -171,10 +174,12 @@ def build_unitary(H, A, tol: float | None = None):
 
 
 def first_integrals(U, basis: TruncationBasis) -> list:
-    """T_i = U† N_i U for each mode of the basis, one matmul per mode.
+    """T_i = U† N_i U for each mode of the basis, one matmul per mode whose
+    number diagonal is not all zero.
 
-    A sparse U gives CSR T_i, which for a permutation U are diagonal and
-    cost O(d) each; a dense U gives dense T_i.
+    Every other mode has T_i = 0 and gets one shared, read-only zero of U's
+    kind.  A sparse U gives CSR T_i, which for a permutation U are diagonal
+    and cost O(d) each; a dense U gives dense T_i.
     """
     U = _operand(U)
     if U.shape != (basis.d, basis.d):
@@ -182,9 +187,21 @@ def first_integrals(U, basis: TruncationBasis) -> list:
             f"unitary dimension {U.shape} does not match basis size {basis.d}"
         )
     Ud = U.conj().T
-    # U† N_i scales column k of U† by the k-th diagonal entry of N_i
-    T = [(Ud * _number_diagonal(basis, i)) @ U for i in range(1, basis.n + 1)]
-    return [sp.csr_array(Ti) for Ti in T] if sp.issparse(U) else T
+    zero = None  # the T_i of every mode whose number diagonal is all zero
+    T = []
+    for i in range(1, basis.n + 1):
+        n = _number_diagonal(basis, i)
+        if n.any():
+            # U† N_i scales column k of U† by the k-th diagonal entry of N_i
+            Ti = (Ud * n) @ U
+            T.append(sp.csr_array(Ti) if sp.issparse(U) else Ti)
+        else:
+            if zero is None:
+                zero = sp.csr_array(U.shape, dtype=U.dtype) if sp.issparse(U) else np.zeros_like(U)
+                for part in (zero.data, zero.indices, zero.indptr) if sp.issparse(U) else (zero,):
+                    part.flags.writeable = False
+            T.append(zero)
+    return T
 
 
 @dataclass
@@ -264,21 +281,19 @@ def _minus_scaled_rows(R, s: np.ndarray, U):
 def _residual_row_norms(U, H, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The squared row norms of R = UH − diag(a) U and of R_ρ = UH − diag(ρ) U.
 
-    ρ_k = Re(u_k H u_k†)/‖u_k‖² is row k's Rayleigh quotient, a_k + δ_k with
-    δ_k = Re⟨r_k, u_k⟩/‖u_k‖², so R_ρ's rows r_k − δ_k u_k are formed entry
-    by entry from R's: an expanded ‖r_k‖² − δ_k²‖u_k‖² would cancel.
+    ρ_k = Re(u_k H u_k†)/‖u_k‖² is row k's Rayleigh quotient, so the row
+    r_k − r^ρ_k = (ρ_k − a_k) u_k of R − R_ρ is orthogonal to r^ρ_k, and
+    ‖r_k‖² = ‖r^ρ_k‖² + (ρ_k − a_k)²‖u_k‖², two terms that cannot cancel:
+    only R_ρ is formed.
     """
     R = U @ H  # CSR when U and H both are, else dense
     if not sp.issparse(R):
         R = np.asarray(R, dtype=np.result_type(R, float))  # in place below, so inexact
         U = U.toarray() if sp.issparse(U) else U
-    R = _minus_scaled_rows(R, a, U)
-    r2 = _row_sums(_squared_moduli(R))
-    if not r2.any():  # R = 0, so R_ρ = R: a permutation U of a diagonal H
-        return r2, r2
     u2 = _row_inner(U, U)
-    delta = np.divide(_row_inner(R, U), u2, out=np.zeros_like(u2), where=u2 > 0)
-    return r2, _row_sums(_squared_moduli(_minus_scaled_rows(R, delta, U)))
+    rho = np.divide(_row_inner(R, U), u2, out=np.zeros_like(u2), where=u2 > 0)
+    rho2 = _row_sums(_squared_moduli(_minus_scaled_rows(R, rho, U)))
+    return rho2 + (rho - a) ** 2 * u2, rho2
 
 
 def _gram_defect(U):
@@ -307,10 +322,9 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     """Bound the commutators of T_i = U† N_i U, and measure unitarity and independence.
 
     Reads only H, U, the number diagonals n_i and A, the 1-D diagonal a of
-    the diagonal operator, and measures the residuals R = UH − diag(a) U,
-    R_ρ = UH − diag(ρ) U with ρ_k row k's Rayleigh quotient
-    Re(u_k H u_k†)/‖u_k‖², and G = UU† − I.  For any U and any real
-    diagonal ρ, with D = H − H†,
+    the diagonal operator, and measures the residuals R_ρ = UH − diag(ρ) U
+    with ρ_k row k's Rayleigh quotient Re(u_k H u_k†)/‖u_k‖², and
+    G = UU† − I.  For any U and any real diagonal ρ, with D = H − H†,
 
         [T_i, H] = U† N_i R_ρ − R_ρ† N_i U − D T_i,
         [T_i, T_j] = U† (N_i G N_j − N_j G N_i) U,
@@ -327,7 +341,8 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     sequence off by a uniform shift, which commutes with every T_i, adds
     nothing to the bound.  No T_i is formed.  ``unitarity_defect`` is
     max|G|, ``hermiticity_defect`` is ‖D‖_F, and ``intertwining_residual``
-    is ‖R‖_F, measured against a.  The commutator bounds,
+    is ‖R‖_F for R = UH − diag(a) U, whose rows' squared norms are
+    ‖r^ρ_k‖² + (ρ_k − a_k)²‖u_k‖², so R is not formed.  The commutator bounds,
     the Hermiticity defect and the intertwining residual are gated against
     ``DEFAULT_COMMUTATOR_TOL`` times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the
     unitarity defect against ``UNITARITY_TOL_PER_DIM`` times d.  Sparse

@@ -5,7 +5,9 @@ homogeneous Dirichlet walls.  Confining potentials keep the low spectrum
 discrete and box-truncation error negligible for the retained levels.
 A potential is its values at the grid nodes in row-major order, which
 ``potential`` reads from the spec ``harmonic``, ``x2y2`` or ``csv:PATH``.
-Every grid is solved as a list of blocks.  The grid is exactly
+Every operator is the ``_kron_sum`` of its axes' Laplacians plus diag(V),
+and every grid is solved as a list of blocks P^T H P, P an isometry made
+of the mirror and swap pairs of ``_pair_isometry``.  The grid is exactly
 mirror-symmetric, so a potential even in every axis, to a few rounding
 errors, splits: a 1-D grid into its even and odd halves, a 2-D grid into
 its four parity sectors or, when V = V^T, the C4v blocks A1, B1, A2, B2
@@ -125,40 +127,29 @@ def _laplacian_1d(M: int, h: float) -> sp.csr_matrix:
     return sp.diags([off, main, off], [-1, 0, 1], format="csr")
 
 
-def _parity_laplacian(M: int, h: float, odd: bool) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The 1-D Laplacian on the even or odd functions of the symmetric M-node grid.
-
-    Its basis is orthonormal: the centre node when M is odd, and the
-    normalised mirror pairs (e_j +- e_mirror(j)) / sqrt(2).  Returns the
-    matrix and the indices of the nodes x >= 0 that label its basis.
-    """
-    # an odd function vanishes on the centre node of an odd grid
-    nodes = np.arange(M // 2 + (M % 2 == 1 and odd), M)
-    main = np.full(nodes.size, 2.0)
-    off = np.full(nodes.size - 1, -1.0)
-    if M % 2 == 0:
-        # the mirror partner of the first node is its neighbour across x = 0
-        main[0] = 3.0 if odd else 1.0
-    elif not odd:
-        # the centre node couples to the normalised pair of its two neighbours
-        off[0] = -np.sqrt(2.0)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / h**2, nodes
+def _pair_isometry(a: np.ndarray, b: np.ndarray, sign: float, size: int) -> sp.csr_matrix:
+    """The size x len(a) isometry whose column k is (e_a_k + sign e_b_k) / sqrt(2),
+    or e_a_k where a_k = b_k, which only sign = 1 allows."""
+    pair = a != b
+    r = np.sqrt(0.5)
+    cols = np.concatenate([np.arange(a.size), np.flatnonzero(pair)])
+    vals = np.concatenate([np.where(pair, r, 1.0), np.full(np.count_nonzero(pair), sign * r)])
+    return sp.csr_matrix((vals, (np.concatenate([a, b[pair]]), cols)), shape=(size, a.size))
 
 
-def _kron_sum(Tx, Ty, v) -> sp.csr_matrix:
-    """Tx (x) I + I (x) Ty + diag(v): -Laplacian + V on a product of two axes."""
-    ex = sp.identity(Tx.shape[0], format="csr")
-    ey = sp.identity(Ty.shape[0], format="csr")
-    return (sp.kron(Tx, ey) + sp.kron(ex, Ty) + sp.diags(v)).tocsr()
+def _kron_sum(axes, v) -> sp.csr_matrix:
+    """The sum over axes of I (x) T_axis (x) I, plus diag(v): -Laplacian + V
+    on the product of the axes, the first varying slowest."""
+    H = axes[0]
+    for T in axes[1:]:
+        H = sp.kronsum(T, H)
+    return (H + sp.diags(v)).tocsr()
 
 
 def assemble_sparse(grid: GridSpec, V) -> sp.csr_matrix:
     """Sparse real-symmetric FD Hamiltonian for V at the grid nodes; no size cap applies."""
     V = _on_grid(V, grid)
-    T = _laplacian_1d(grid.M, grid.h)
-    if grid.dimension == 1:
-        return (T + sp.diags(V)).tocsr()
-    return _kron_sum(T, T, V)
+    return _kron_sum([_laplacian_1d(grid.M, grid.h)] * grid.dimension, V)
 
 
 def _is_tridiagonal(H) -> bool:
@@ -292,51 +283,45 @@ CUTOFF_RTOL = 1e-9  # the cutoff's height above the first block's top level, rel
 PIVOT_RTOL = 1e-10  # how far a zero pivot moves the cutoff, relative
 
 
-def _swap_isometry(n: int, sign: float) -> sp.csr_matrix:
-    """Columns e_ii and (e_ij + sign e_ji) / sqrt(2), i < j, on an n x n grid in row-major order.
-
-    sign = 1 spans the functions even under the swap of the two axes;
-    sign = -1 takes no e_ii and spans the odd ones.
-    """
-    i, j = np.triu_indices(n, 0 if sign > 0 else 1)
-    pair = np.flatnonzero(i < j)
-    r = np.sqrt(0.5)
-    rows = np.concatenate([i * n + j, j[pair] * n + i[pair]])
-    cols = np.concatenate([np.arange(i.size), pair])
-    vals = np.concatenate([np.where(i < j, r, 1.0), np.full(pair.size, sign * r)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, i.size))
-
-
 def _blocks(grid: GridSpec, V: np.ndarray) -> list[tuple[str, sp.csr_matrix, tuple[str, ...]]]:
     """The blocks of -Laplacian + V, V an M-vector even in x or an M x M
     array even in x and in y.
 
-    Each is (name, operator, the ``PARITIES`` or ``SECTORS`` labels of its
-    copies).  A 1-D grid splits into its even and odd halves, each with V
-    at the nodes that label its basis on the diagonal.  In 2-D, with
-    V = V^T the swap x <-> y splits (even, even) into A1 and B1 and
-    (odd, odd) into A2 and B2, H_b = P^T H P for the isometry P of
-    ``_swap_isometry``, and maps (even, odd), the block E, onto (odd, even).
-    Otherwise the blocks are the four parity sectors.  The first block
-    holds the ground state, which is positive.
+    Each is (name, P^T H P, the ``PARITIES`` or ``SECTORS`` labels of its
+    copies), P an isometry onto an invariant subspace of H.  Each axis
+    Laplacian T splits into P^T T P, P the ``_pair_isometry`` of the nodes
+    x >= 0 and their mirrors, even or odd.  A sector, an even or odd half
+    of a 1-D grid or one of the four of a 2-D one, is the ``_kron_sum`` of
+    its axes' blocks plus V at those nodes.  With V = V^T the swap x <-> y
+    splits (even, even) into A1 and B1 and (odd, odd) into A2 and B2, by
+    the pair isometry of e_ij and e_ji, and maps (even, odd), the block E,
+    onto (odd, even).  The first block holds the ground state, which is
+    positive.
     """
-    axis = {p: _parity_laplacian(grid.M, grid.h, p == "odd") for p in PARITIES}
-    if grid.dimension == 1:
-        return [(p, (T + sp.diags(V[nodes])).tocsr(), (p,)) for p, (T, nodes) in axis.items()]
+    M = grid.M
+    T = _laplacian_1d(M, grid.h)
+    # an odd function vanishes on the centre node of an odd grid
+    half = {p: np.arange(M // 2 + (M % 2 == 1 and p == "odd"), M) for p in PARITIES}
+    axis = {}
+    for p, sign in zip(PARITIES, (1.0, -1.0)):
+        P = _pair_isometry(half[p], M - 1 - half[p], sign, M)
+        axis[p] = P.T.tocsr() @ T @ P  # a CSR P^T: P^T @ T would convert T to CSC
 
     def sector(label):
-        (Tx, ix), (Ty, iy) = (axis[p] for p in label.split(","))
-        return _kron_sum(Tx, Ty, V[np.ix_(ix, iy)].ravel())
+        parities = label.split(",")
+        return _kron_sum([axis[p] for p in parities], V[np.ix_(*map(half.get, parities))].ravel())
 
-    if not np.array_equal(V, V.T):
-        return [(label, sector(label), (label,)) for label in SECTORS]
+    if not (V.ndim == 2 and np.array_equal(V, V.T)):  # no swap symmetry
+        labels = SECTORS if V.ndim == 2 else PARITIES
+        return [(label, sector(label), (label,)) for label in labels]
     blocks = []
     for p, names in (("even", ("A1", "B1")), ("odd", ("B2", "A2"))):
-        label = f"{p},{p}"
+        label, n = f"{p},{p}", half[p].size
         H = sector(label)
         for name, sign in zip(names, (1.0, -1.0)):
-            P = _swap_isometry(axis[p][1].size, sign)
-            blocks.append((name, (P.T @ H @ P).tocsr(), (label,)))
+            i, j = np.triu_indices(n, 0 if sign > 0 else 1)
+            P = _pair_isometry(i * n + j, j * n + i, sign, n * n)
+            blocks.append((name, P.T.tocsr() @ H @ P, (label,)))
     return blocks + [("E", sector("even,odd"), ("even,odd", "odd,even"))]
 
 

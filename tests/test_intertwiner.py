@@ -700,7 +700,7 @@ def test_rayleigh_residual_of_a_permutation_is_the_residual(structured):
     levels = np.sort(np.random.default_rng(3).uniform(0.0, 5.0, 40))
     U = certify(sparse_diagonal(levels), None, 2).U
     r2, rho2 = intertwiner._residual_row_norms(U, sparse_diagonal(levels), levels)
-    assert rho2 is r2 and not r2.any()
+    assert np.array_equal(rho2, r2) and not r2.any()
 
 
 def test_zero_modes_are_skipped_and_the_fields_match_all_pairs():
@@ -714,3 +714,33 @@ def test_zero_modes_are_skipped_and_the_fields_match_all_pairs():
     ref = dense_certificate(H, U, A, basis)
     assert ref["max_pairwise_commutator"] > 0 and not cert.passed
     assert_matches_dense(cert, ref)
+
+
+@pytest.mark.parametrize("case", ["diagonal", "dense"])
+def test_zero_modes_share_one_read_only_zero(case):
+    """Every mode whose number column is all zero gets one shared, read-only
+    zero of U's kind; every other T_i is U† N_i U."""
+    if case == "diagonal":  # 12 levels on 1000 modes: a CSR permutation U
+        H, n_modes = sparse_diagonal(np.arange(12.0)), 1000
+    else:  # a dense d = 8 H on 20 modes
+        X = np.random.default_rng(7).normal(size=(8, 16)).view(complex)
+        H, n_modes = (X + X.conj().T) / 2, 20
+    cert = certify(H, None, n_modes)
+    assert sp.issparse(cert.U) == (case == "diagonal")
+    basis = TruncationBasis.build(n_modes, cert.dim)
+    zero = [T for T, col in zip(cert.T, basis.indices.T) if not col.any()]
+    assert len(zero) > n_modes // 2 and all(T is zero[0] for T in zero)
+    Z = zero[0]
+    if sp.issparse(Z):
+        assert Z.format == "csr" and Z.shape == (cert.dim, cert.dim) and Z.nnz == 0
+        assert not any(part.flags.writeable for part in (Z.data, Z.indices, Z.indptr))
+    else:
+        assert not Z.any() and not Z.flags.writeable and Z.dtype == cert.U.dtype
+        with pytest.raises(ValueError):
+            Z[0, 0] = 1.0
+    U = cert.U.toarray() if sp.issparse(cert.U) else cert.U
+    for T, col in zip(cert.T, basis.indices.T):
+        if col.any():
+            assert sp.issparse(T) == sp.issparse(cert.U)
+            T = T.toarray() if sp.issparse(T) else T
+            assert np.abs(T - U.conj().T @ np.diag(col.astype(float)) @ U).max() <= 1e-13

@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.sparse.linalg as spla
 from spectralforge import schrodinger
 
 from spectralforge.errors import CapacityError, InputError
-from spectralforge.fockspace import check_dimension
+from spectralforge.fockspace import dense_within_cap
 from spectralforge.schrodinger import (
     GridSpec,
     assemble_sparse,
@@ -56,9 +57,11 @@ def test_fd_symmetry_exact():
 
 def test_dimension_cap(monkeypatch):
     grid = GridSpec(2, 8.0, 96)
-    with pytest.raises(CapacityError, match="coarser"):
-        check_dimension(grid.size)
+    wide = sp.csr_array((1, grid.size))
+    with pytest.raises(CapacityError, match="matrix dimension 9216 exceeds cap"):
+        dense_within_cap(wide)
     monkeypatch.setenv("SPECTRAL_FORGE_CAP", "10000")
+    assert dense_within_cap(wide).shape == (1, 9216)
     H = assemble_sparse(grid, potential("x2y2", grid))
     assert H.shape == (9216, 9216)
 
@@ -319,6 +322,65 @@ def test_blocks_with_multiplicity_are_the_whole_grid(M):
     parts = [np.linalg.eigvalsh(H.toarray()) for name, H, copies in blocks for _ in copies]
     ref = np.linalg.eigvalsh(assemble_sparse(grid, potential("x2y2", grid)).toarray())
     _assert_close(np.sort(np.concatenate(parts)), ref)
+
+
+def _mirror_isometry(M, parity):
+    """Columns (e_j + e_mirror(j)) or (e_j - e_mirror(j)), normalised, for the
+    nodes j with x >= 0 in ascending order; an odd function has no centre column."""
+    Q = (np.eye(M) + (1.0 if parity == "even" else -1.0) * np.eye(M)[::-1])[:, M // 2:]
+    Q = Q[:, np.abs(Q).sum(axis=0) > 0]
+    return Q / np.linalg.norm(Q, axis=0)
+
+
+def _swap_columns(n, sign):
+    """Columns e_ij + sign e_ji, normalised, i <= j (i < j for sign -1), on an n x n grid."""
+    i, j = np.triu_indices(n, 0 if sign > 0 else 1)
+    Q = np.zeros((n * n, i.size))
+    Q[i * n + j, np.arange(i.size)] += 1.0
+    Q[j * n + i, np.arange(i.size)] += sign
+    return Q / np.linalg.norm(Q, axis=0)
+
+
+def _grid_isometries(M, name):
+    """The isometries onto the grid of each copy of the block ``name``, from the
+    axis isometries, their kron and the swap x <-> y."""
+    P = {p: _mirror_isometry(M, p) for p in ("even", "odd")}
+    swap = {"A1": ("even", 1.0), "B1": ("even", -1.0), "B2": ("odd", 1.0), "A2": ("odd", -1.0)}
+    if name in swap:
+        p, sign = swap[name]
+        return [np.kron(P[p], P[p]) @ _swap_columns(P[p].shape[1], sign)]
+    if name == "E":
+        Q = np.kron(P["even"], P["odd"])
+        # its copy, the (odd, even) sector, is E's image under the swap of the axes
+        return [Q, Q.reshape(M, M, -1).transpose(1, 0, 2).reshape(M * M, -1)]
+    return [functools.reduce(np.kron, [P[p] for p in name.split(",")])]
+
+
+@pytest.mark.parametrize("dimension, M, spec", [
+    (1, 16, "harmonic"), (1, 17, "harmonic"), (2, 16, "x2y2"), (2, 17, "x2y2"), (2, 24, "quartic"),
+])
+def test_blocks_are_compressions_onto_an_orthonormal_basis(dimension, M, spec):
+    """Each block is Q^T H Q for the isometry Q of its copy, and the copies'
+    columns together are an orthonormal basis of the grid: the premise of the
+    floor below every block's spectrum."""
+    grid = GridSpec(dimension, 6.0 if spec == "quartic" else 8.0, M)
+    if spec == "quartic":  # the CI's table: even in x and in y, but V != V^T
+        x = grid.axis_nodes()
+        V = ((x[:, None] ** 2) ** 2 + 0.5 * x[None, :] ** 2).ravel()
+    else:
+        V = potential(spec, grid)
+    W = schrodinger._mirror_average(grid, V)
+    H = assemble_sparse(grid, W.ravel()).toarray()
+    columns = []
+    for name, B, copies in schrodinger._blocks(grid, W):
+        isometries = _grid_isometries(M, name)
+        assert len(isometries) == len(copies)
+        for Q in isometries:
+            assert np.abs(B.toarray() - Q.T @ H @ Q).max() <= 1e-15 * np.abs(H).max(), name
+        columns += isometries
+    Q = np.hstack(columns)
+    assert Q.shape == (grid.size, grid.size)
+    assert np.abs(Q.T @ Q - np.eye(grid.size)).max() <= 1e-15
 
 
 def test_mirror_symmetric_potential_without_swap_match_full_grid(monkeypatch):
