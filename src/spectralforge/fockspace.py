@@ -98,8 +98,8 @@ def synthesize(seq, basis: TruncationBasis) -> np.ndarray:
     return np.diag(_synthesized_diagonal(seq, basis).astype(complex))
 
 
-def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of M.
+def eigendecompose(M: np.ndarray, vectors: bool = True):
+    """Ascending eigenvalues of M and, with ``vectors``, orthonormal eigenvector columns.
 
     LAPACK's MRRR driver ``?heevr`` / ``?syevr`` (Dhillon, Parlett and Vömel,
     ACM TOMS 32, 533, 2006): faster than the divide-and-conquer ``?heevd`` at
@@ -110,7 +110,7 @@ def eigendecompose(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InputError("matrix is not Hermitian within tolerance")
     from scipy.linalg import eigh  # loaded on use, like the other SciPy submodules
 
-    return eigh(M, driver="evr", check_finite=False)
+    return eigh(M, eigvals_only=not vectors, driver="evr", check_finite=False)
 
 
 def dimension_cap(cap: int | None = None) -> int:
@@ -190,7 +190,9 @@ def matrix_from_json(text: str):
     """An array from the dense form, CSR from the sparse; float64 when every ``im`` is 0."""
     try:
         data = json.loads(text)
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if type(dim) is not int:  # bool is an int subclass; 2.5 or "2" is no dimension
+            raise InputError(f"matrix JSON dim must be an integer, got {dim!r}")
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
         sparse = "rows" in data or "cols" in data

@@ -10,13 +10,11 @@ A is held as the 1-D array of its diagonal.  Its eigenvectors are basis
 vectors, so U = V_H^dagger with its rows permuted by an ``argsort`` of that
 diagonal, for either kind of V_H.
 
-H is the direct sum of its blocks, the connected components of its
-sparsity graph.  One component (a general H) gets one dense eigensolve by
-LAPACK's MRRR driver, several one stacked ``eigh`` per block size, within
-the cap on the largest block, and then V_H, U and every T_i are
-block-sparse.  A diagonal H has 1 x 1 blocks: U is a permutation and a
-certificate costs O(d).  Every operator stays in H's field, so a real H
-gives real U and T_i.
+``eigensolve`` is the one place an eigensolver is chosen, for
+certification and for ``schrodinger.low_spectrum`` alike.  An H of several
+connected components gets a block-sparse V_H, U and T_i: a diagonal H has
+1 x 1 blocks, so U is a permutation and a certificate costs O(d).  Every
+operator stays in H's field, so a real H gives real U and T_i.
 
 Verification reads only H, U, the diagonal a of A and the number diagonals
 n_i.  It measures the residuals R_rho = UH - diag(rho) U, for the rows'
@@ -36,11 +34,14 @@ CSR T_i afterwards, for its callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.csgraph import connected_components
 
 from . import spectra
@@ -58,16 +59,6 @@ from .fockspace import (
 
 UNITARITY_TOL_PER_DIM = 1e-9
 DEFAULT_COMMUTATOR_TOL = 1e-8
-
-
-def _components(M) -> tuple[int, np.ndarray]:
-    """The component count of the square M's sparsity graph M != 0, and each node's label.
-
-    A dense M whose first row has no zero is connected: a general H, in O(d).
-    """
-    if not sp.issparse(M) and M.shape[0] and np.all(M[0] != 0):
-        return 1, np.zeros(M.shape[0], dtype=np.int32)
-    return connected_components(sp.csr_array(M != 0), directed=False)
 
 
 def _diagonal(A) -> np.ndarray:
@@ -88,29 +79,86 @@ def _diagonal(A) -> np.ndarray:
     return diag.real.astype(float)
 
 
-def _eigenpairs(H):
-    """H as certification works on it, its ascending eigenvalues, and eigenvector columns V_H.
+PIVOT_RTOL = 1e-10  # how far a shift or cutoff at a zero pivot moves, relative
 
-    An H of one component comes back dense, with a dense V_H from ``eigh``.
-    An H of several comes back as CSR, with a CSC V_H from one stacked
-    ``eigh`` per block size, so V_H^dagger is CSR.  Equal eigenvalues keep
-    the order of their blocks' first nodes: basis order for 1 x 1 blocks.
+
+def _level_count(m, dim: int) -> int:
+    """m as an int in 1..dim, with None for dim, or InputError."""
+    m = dim if m is None else int(m)
+    if not 1 <= m <= dim:
+        raise InputError(f"level count {m} out of range 1..{dim}")
+    return m
+
+
+def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | None = None,
+               window: tuple[float, float] | None = None):
+    """The m lowest eigenvalues of the Hermitian H, ascending, and with
+    ``vectors`` their eigenvector columns: the one place a solver is chosen.
+
+    ``m`` defaults to every level.  The first rule that fits decides:
+
+    1. a dense H whose first row has no zero, for all levels or all but
+       one: ``eigendecompose``;
+    2. several connected components, unless H is tridiagonal and only
+       values are asked for: one stacked ``eigh`` per block size, each
+       block within ``cap``, and a block-sparse CSC V;
+    3. a tridiagonal H: ``eigh_tridiagonal``;
+    4. all levels or all but one: ``eigendecompose``, a sparse H made dense
+       within ``cap``;
+    5. shift-invert Lanczos, 1 below H's Gershgorin bound or, for a
+       ``window`` (floor, c) with exactly m levels between, 1 below the
+       floor when c is infinite, else at the midpoint, where those m are
+       the nearest.
+
+    Values alone never compute vectors.
     """
-    H = sp.csr_array(H) if sp.issparse(H) else np.asarray(H)
+    if not sp.issparse(H):
+        H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"H must be a square matrix, got shape {H.shape}")
-    if not H.shape[0]:
-        raise InputError("H is 0 x 0: certification needs at least one row")
+    dim = H.shape[0]
+    if not dim:
+        raise InputError("H is 0 x 0: an eigensolve needs at least one row")
     # before any arithmetic on H, so one message covers NaN and inf in every path
     if not np.isfinite(H.data if sp.issparse(H) else H).all():
         raise InputError("H has entries that are not finite")
-    count, labels = _components(H)
-    if count < 2:
-        H = dense_within_cap(H) if sp.issparse(H) else H
-        return (H, *eigendecompose(H))
-    H = sp.csr_array(H)
+    remedy = "give a smaller matrix" if m is None else "ask for fewer levels"
+    m = _level_count(m, dim)
+    if not sp.issparse(H) and m >= dim - 1 and np.all(H[0] != 0):
+        return _lowest(eigendecompose(H, vectors=vectors), m)
+    given, H = H, sp.csr_array(H)
     if not is_hermitian(H):
         raise InputError("matrix is not Hermitian within tolerance")
+    C = H.tocoo()
+    tridiagonal = not np.any(C.data[np.abs(C.row - C.col) > 1])
+    # a tridiagonal H wants its components only for block-sparse vectors, and
+    # one with no zero above its diagonal is a single chain
+    if not (tridiagonal and (not vectors or H.diagonal(1).all())):
+        count, labels = connected_components(H != 0, directed=False)
+        if count > 1:
+            return _lowest(_stacked(H, labels, vectors, cap), m)
+    if tridiagonal:
+        return _tridiagonal(H, m, vectors)
+    if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
+        dense = dense_within_cap(H, cap, remedy) if sp.issparse(given) else given
+        return _lowest(eigendecompose(dense, vectors=vectors), m)
+    return _shift_invert(H, m, vectors, window)
+
+
+def _lowest(solved, m: int):
+    """The m lowest of an ascending solve, values or (values, vector columns)."""
+    if isinstance(solved, tuple):
+        w, V = solved
+        return (w, V) if m == w.size else (w[:m], V[:, :m])
+    return solved[:m]
+
+
+def _stacked(H, labels: np.ndarray, vectors: bool, cap):
+    """Every eigenvalue of the CSR H, block by block over its components, and a CSC V.
+
+    Equal eigenvalues keep the order of their blocks' first nodes: basis
+    order for 1 x 1 blocks.
+    """
     size = np.bincount(labels)[labels]  # the size of each node's block
     # the largest blocks first, so they meet the cap first; each block's
     # nodes together and ascending, so H[nodes][:, nodes] is block-diagonal
@@ -123,16 +171,80 @@ def _eigenpairs(H):
         # entry (r, c) of block i goes to row i s + r, column c of a (k s) x s stack
         stack = sp.coo_array((C.data[at], (C.row[at] - start, (C.col[at] - start) % s)),
                              shape=(k * s, s))
-        wk, Vk = np.linalg.eigh(dense_within_cap(stack).reshape(k, s, s))
+        stack = dense_within_cap(stack, cap).reshape(k, s, s)
+        if vectors:
+            wk, Vk = np.linalg.eigh(stack)
+            vals.append(Vk.transpose(0, 2, 1).ravel())  # column by column
+            rows.append(np.repeat(start + np.arange(k * s).reshape(k, s), s, axis=0).ravel())
+        else:
+            wk = np.linalg.eigvalsh(stack)
         w.append(wk.ravel())
-        vals.append(Vk.transpose(0, 2, 1).ravel())  # column by column
-        rows.append(np.repeat(start + np.arange(k * s).reshape(k, s), s, axis=0).ravel())
         start += k * s
+    w = np.concatenate(w)
+    if not vectors:
+        return np.sort(w)
     indptr = np.concatenate(([0], np.cumsum(size[nodes])))
     V = sp.csc_array((np.concatenate(vals), nodes[np.concatenate(rows)], indptr), shape=H.shape)
-    w = np.concatenate(w)
     order = np.lexsort((V.indices[indptr[:-1]], w))
-    return H, w[order], V[:, order]
+    return w[order], V[:, order]
+
+
+def _tridiagonal(H, m: int, vectors: bool):
+    """The m lowest eigenpairs of the Hermitian tridiagonal CSR H.
+
+    A complex H is D J D^dagger, J real with off-diagonal |e|, for the phases
+    D = diag(phi), phi_0 = 1 and phi_{k+1} = phi_k conj(e_k)/|e_k| with
+    e_k = H[k, k+1] (or phi_k where e_k = 0), so V_H = D V_J.
+    """
+    e, phase = H.diagonal(1), None
+    if np.iscomplexobj(e):
+        if vectors:
+            step = np.divide(e.conj(), np.abs(e), out=np.ones_like(e), where=e != 0)
+            phase = np.cumprod(np.concatenate(([1.0], step)))
+            phase /= np.abs(phase)
+        e = np.abs(e)
+    # MRRR for the whole spectrum costs about as much as bisection for dim/16 levels
+    select = "a" if m >= H.shape[0] / 16 else "i"
+    solved = _lowest(eigh_tridiagonal(H.diagonal().real, e, eigvals_only=not vectors,
+                                      select=select, select_range=(0, m - 1)), m)
+    return solved if phase is None else (solved[0], phase[:, None] * solved[1])
+
+
+def _shift_invert(H, m: int, vectors: bool, window):
+    """The m eigenpairs of the CSR H nearest a shift below, or inside, its lowest m levels."""
+    dim = H.shape[0]
+    if window is None:
+        # Gershgorin lower bound keeps the shift strictly below the spectrum
+        Habs = abs(H)
+        row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
+        sigma, width = float((H.diagonal().real - row_radius).min()) - 1.0, 0.0
+    else:
+        floor, c = float(window[0]), float(window[1])
+        # every level above c lies farther from the midpoint than any below it
+        sigma, width = (floor - 1.0, 0.0) if c == math.inf else (0.5 * (floor + c), c - floor)
+    # fixed start vector keeps the Lanczos iteration bit-reproducible
+    v0 = np.full(dim, 1.0 / np.sqrt(dim))
+    for _ in range(4):
+        try:
+            # H is Hermitian, so a minimum-degree ordering on its pattern
+            # keeps the LU fill of H - sigma I low
+            lu = spla.splu(
+                (H - sigma * sp.identity(dim, format="csr")).tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+            )
+            break
+        except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is a level
+            sigma += PIVOT_RTOL * max(abs(sigma), width)
+    else:
+        raise np.linalg.LinAlgError(f"no shift near {sigma:.17g} leaves H - sigma I nonsingular")
+    solved = spla.eigsh(
+        H, k=m, sigma=sigma, which="LM", v0=v0, return_eigenvectors=vectors,
+        OPinv=spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=H.dtype),
+    )
+    if not vectors:
+        return np.sort(solved)
+    order = np.argsort(solved[0])
+    return solved[0][order], solved[1][:, order]
 
 
 def _intertwine(wH: np.ndarray, VH, a: np.ndarray, tol: float | None):
@@ -166,10 +278,10 @@ def build_unitary(H, A, tol: float | None = None):
     a CSR array for an H, dense or sparse, of several components, and a
     dense array for an H of one.
     """
-    H, wH, VH = _eigenpairs(H)
+    wH, VH = eigensolve(H, vectors=True)
     a = _diagonal(A)
-    if H.shape != (a.size, a.size):
-        raise InputError(f"dimension mismatch: {H.shape} vs {(a.size, a.size)}")
+    if wH.size != a.size:
+        raise InputError(f"dimension mismatch: {(wH.size, wH.size)} vs {(a.size, a.size)}")
     return _intertwine(wH, VH, a, tol)
 
 
@@ -407,15 +519,16 @@ def certify(H, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCert
     """Full pipeline: synthesize A from ``seq``, intertwine, verify, then form T.
 
     ``seq`` defaults to the spectrum of H itself when given as None.  H is
-    decomposed once, block by block over its connected components; its
-    eigenpairs serve both as the default ``seq`` and for the intertwiner.
-    An H of several components, dense or sparse, is held as CSR and gets a
-    block-sparse CSR U and CSR T_i; an H of one component is dense.  The
-    first integrals are formed after verification has freed its residuals,
-    and attached to the certificate as ``T``.
+    decomposed once by ``eigensolve``; its eigenpairs serve both as the
+    default ``seq`` and for the intertwiner.  An H of several components,
+    dense or sparse, is verified as CSR and gets a block-sparse CSR U and
+    CSR T_i; an H of one component is verified as given, with a dense U.
+    The first integrals are formed after verification has freed its
+    residuals, and attached to the certificate as ``T``.
     """
-    H, wH, VH = _eigenpairs(H)
-    basis = TruncationBasis.build(n_modes, H.shape[0])
+    wH, VH = eigensolve(H, vectors=True)
+    H = sp.csr_array(H) if sp.issparse(VH) else H  # verified in V_H's kind
+    basis = TruncationBasis.build(n_modes, wH.size)
     a = _synthesized_diagonal(wH if seq is None else seq, basis)
     U = _intertwine(wH, VH, a, tol)
     del VH  # free V_H before verification and the first integrals allocate

@@ -15,8 +15,8 @@ and the doubly degenerate E.  Any other grid is one block.  An inertia
 count (Sylvester's law, from an LDL^T of H - cI) gives each block the
 number of its levels below one cutoff c, so each is asked for exactly
 those and a solve that skips one is refused; a spectrum solved whole
-needs no count.  ``low_spectrum`` takes every H as CSR and picks its
-solver from the structure and the level count alone; the dimension cap
+needs no count.  ``low_spectrum`` solves a block by
+``intertwiner.eigensolve``, the one solver dispatch; the dimension cap
 applies only to a matrix it makes dense.
 """
 
@@ -29,11 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import InputError
-from .fockspace import dense_within_cap, dimension_cap, sparse_diagonal
-from .intertwiner import IntegrabilityCertificate, certify
+from .fockspace import dimension_cap, sparse_diagonal
+from .intertwiner import PIVOT_RTOL, IntegrabilityCertificate, _level_count, certify, eigensolve
 
 
 @dataclass(frozen=True)
@@ -152,82 +151,17 @@ def assemble_sparse(grid: GridSpec, V) -> sp.csr_matrix:
     return _kron_sum([_laplacian_1d(grid.M, grid.h)] * grid.dimension, V)
 
 
-def _is_tridiagonal(H) -> bool:
-    """True when the sparse H has no nonzero entry beyond its first off-diagonals."""
-    H = H.tocoo()
-    return not np.any(H.data[np.abs(H.row - H.col) > 1])
-
-
-def _check_level_count(m: int, dim: int) -> None:
-    if not 1 <= m <= dim:
-        raise InputError(f"level count {m} out of range 1..{dim}")
-
-
 def low_spectrum(
     H, m: int, cap: int | None = None, *, window: tuple[float, float] | None = None
 ) -> np.ndarray:
-    """The m smallest eigenvalues of a Hermitian matrix, ascending.
+    """The m smallest eigenvalues of a Hermitian matrix, ascending, by
+    ``intertwiner.eigensolve`` with values only.
 
-    A dense H is taken as CSR, so every H meets one dispatch.  A
-    tridiagonal H (every 1-D grid) uses the tridiagonal solver: MRRR for
-    the whole spectrum, of which the lowest m are kept, when m is at least
-    dim/16, and bisection for fewer levels.  Any other H uses
-    the dense solver for all levels or all but one, within the dimension
-    ``cap`` (default ``fockspace.dimension_cap()``), and shift-invert
-    Lanczos for fewer levels.  Lanczos is shifted 1 below H's Gershgorin
-    bound, or by a ``window`` (floor, c) of a floor strictly below the
-    spectrum and a cutoff c with exactly m levels below it: 1 below the
-    floor when c is infinite, else at the window's midpoint, where those m
-    levels are the m nearest.  A shift that is exactly a level is moved by
-    ``PIVOT_RTOL``.  The tridiagonal and dense solvers ignore the window.
+    ``cap`` (default ``fockspace.dimension_cap()``) bounds a matrix made
+    dense.  A ``window`` (floor, c), of a floor strictly below the spectrum
+    and a cutoff c with exactly m levels below it, shifts Lanczos into it.
     """
-    m = int(m)
-    dim = H.shape[0]
-    _check_level_count(m, dim)
-    H = sp.csr_matrix(H)
-    if _is_tridiagonal(H):
-        # a Hermitian tridiagonal matrix has the eigenvalues of the
-        # real one with off-diagonal |e|
-        e = H.diagonal(1)
-        e = np.abs(e) if np.iscomplexobj(e) else e
-        # MRRR for the whole spectrum costs about as much as bisection for
-        # dim/16 levels
-        if m >= dim / 16:
-            return eigvalsh_tridiagonal(H.diagonal().real, e)[:m]
-        return eigvalsh_tridiagonal(
-            H.diagonal().real, e, select="i", select_range=(0, m - 1)
-        )
-    if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
-        return np.sort(np.linalg.eigvalsh(dense_within_cap(H, cap, "ask for fewer levels")))[:m]
-    if window is None:
-        # Gershgorin lower bound keeps the shift strictly below the spectrum
-        Habs = abs(H)
-        row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
-        sigma, width = float((H.diagonal().real - row_radius).min()) - 1.0, 0.0
-    else:
-        floor, c = float(window[0]), float(window[1])
-        # every level above c lies farther from the midpoint than any below it
-        sigma, width = (floor - 1.0, 0.0) if c == math.inf else (0.5 * (floor + c), c - floor)
-    # fixed start vector keeps the Lanczos iteration bit-reproducible
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    for _ in range(4):
-        try:
-            # H is symmetric, so a minimum-degree ordering on its pattern
-            # keeps the LU fill of H - sigma I low
-            lu = spla.splu(
-                (H - sigma * sp.identity(dim, format="csr")).tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-            )
-            break
-        except RuntimeError:  # SuperLU's "Factor is exactly singular": sigma is a level
-            sigma += PIVOT_RTOL * max(abs(sigma), width)
-    else:
-        raise np.linalg.LinAlgError(f"no shift near {sigma:.17g} leaves H - sigma I nonsingular")
-    w = spla.eigsh(
-        H, k=m, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
-        OPinv=spla.LinearOperator((dim, dim), matvec=lu.solve, dtype=H.dtype),
-    )
-    return np.sort(w)
+    return eigensolve(H, m, cap=cap, window=window)
 
 
 SECTORS = ("even,even", "even,odd", "odd,even", "odd,odd")  # parity in x, then in y
@@ -267,9 +201,8 @@ def grid_levels(
     V when H splits) lies strictly below every block's spectrum.  ``cap``,
     checked here, bounds each matrix that ``low_spectrum`` makes dense.
     """
-    m = int(m)
     V = _on_grid(V, grid)
-    _check_level_count(m, grid.size)
+    m = _level_count(m, grid.size)
     cap = dimension_cap(cap)
     W = _mirror_average(grid, V)
     if W is None:
@@ -280,7 +213,6 @@ def grid_levels(
 
 
 CUTOFF_RTOL = 1e-9  # the cutoff's height above the first block's top level, relative
-PIVOT_RTOL = 1e-10  # how far a zero pivot moves the cutoff, relative
 
 
 def _blocks(grid: GridSpec, V: np.ndarray) -> list[tuple[str, sp.csr_matrix, tuple[str, ...]]]:

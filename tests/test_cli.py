@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spectralforge import classical, cli, schrodinger, zeta
+from spectralforge import classical, cli, intertwiner, schrodinger, zeta
 from spectralforge.fockspace import matrix_to_json
 
 
@@ -825,7 +825,7 @@ def test_linalg_error_exit_3_one_line(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
         raise np.linalg.LinAlgError("eigenvalue computation did not converge")
 
-    monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal", no_convergence)
+    monkeypatch.setattr(intertwiner, "eigh_tridiagonal", no_convergence)
     assert cli.run(["schrodinger", "--points", "50", "--levels", "5"]) == 3
     captured = capsys.readouterr()
     assert _one_error_line(captured, "error: numerical:") and "did not converge" in captured.err

@@ -134,8 +134,13 @@ def test_matrix_json_validation():
         '{"dim": -1, "re": [1], "im": [0]}',
         '{"dim": 2, "re": [[1, 0], [0, 1]], "im": [0, 0, 0, 0]}',
         '{"dim": 2, "re": [NaN, 1, 1, 1], "im": [0, 0, 0, 0]}',
+        '{"dim": 2.5, "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
+        '{"dim": true, "re": [1], "im": [0]}',
+        '{"dim": "2", "re": [1, 0, 0, 1], "im": [0, 0, 0, 0]}',
+        '{"dim": 2.5, "rows": [0, 1], "cols": [0, 1], "re": [1, 1], "im": [0, 0]}',
     ],
-    ids=["not_json", "non_numeric_entry", "negative_dim", "nested_re", "dense_nan"],
+    ids=["not_json", "non_numeric_entry", "negative_dim", "nested_re", "dense_nan",
+         "float_dim", "bool_dim", "string_dim", "sparse_float_dim"],
 )
 def test_matrix_from_json_rejects_malformed_payload(text):
     with pytest.raises(InputError):

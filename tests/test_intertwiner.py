@@ -408,7 +408,7 @@ def test_build_unitary_kind_follows_H():
     h = np.array([3.0, 1.0, 2.0, 1.0])
     for H, sparse in (((X + X.conj().T) / 2, False), (np.diag(h), True),
                       (sparse_diagonal(h), True), (permuted_blocks([1, 2, 3, 5], 37), True)):
-        U, ref = build_unitary(H, intertwiner._eigenpairs(H)[1]), certify(H, None, 2).U
+        U, ref = build_unitary(H, intertwiner.eigensolve(H)), certify(H, None, 2).U
         assert sp.issparse(U) is sp.issparse(ref) is sparse
         assert type(U) is type(ref) and U.dtype == ref.dtype
         assert np.array_equal(U.toarray() if sparse else U, ref.toarray() if sparse else ref)
@@ -417,7 +417,7 @@ def test_build_unitary_kind_follows_H():
 def test_dense_intertwiner_allocates_only_U():
     rng = np.random.default_rng(7)
     X = rng.normal(size=(300, 300)) + 1j * rng.normal(size=(300, 300))
-    _, wH, VH = intertwiner._eigenpairs((X + X.conj().T) / 2)
+    wH, VH = intertwiner.eigensolve((X + X.conj().T) / 2, vectors=True)
     a = rng.permutation(wH)
     perm = np.argsort(a, kind="stable")
     tracemalloc.start()
@@ -562,6 +562,51 @@ def test_real_H_certifies_in_its_own_field(make):
 # block-sparse one, and every commutator field must bound the commutators of
 # the exact U† N_i U, which the tests below form densely
 
+def random_tridiagonal(d, seed, field):
+    """A CSR Hermitian tridiagonal H with no zero off-diagonal, of random phases when complex."""
+    rng = np.random.default_rng(seed)
+    e = rng.uniform(0.5, 1.5, d - 1) * rng.choice([-1.0, 1.0], d - 1)
+    if field is complex:
+        e = e * np.exp(2j * np.pi * rng.uniform(size=d - 1))
+    return sp.csr_array(sp.diags([e.conj(), rng.normal(size=d), e], [-1, 0, 1]))
+
+
+@pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
+def test_tridiagonal_H_certificate_matches_dense_reference(monkeypatch, field):
+    H = random_tridiagonal(80, 38, field)
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("a tridiagonal H must not be decomposed densely")
+
+    monkeypatch.setattr(intertwiner, "eigendecompose", no_eigh)
+    cert = certify(H, None, 3)
+    assert cert.passed and isinstance(cert.U, np.ndarray)
+    assert np.iscomplexobj(cert.U) is (field is complex)
+    dense, basis = H.toarray(), TruncationBasis.build(3, 80)
+    w = np.linalg.eigvalsh(dense)
+    assert_matches_dense(cert, dense_certificate(dense, cert.U, np.diag(w), basis))
+
+
+@pytest.mark.parametrize("m", [80, 3], ids=["mrrr", "bisection"])
+@pytest.mark.parametrize("field", [float, complex], ids=["real", "complex"])
+def test_tridiagonal_eigenpairs_have_small_residuals(field, m):
+    H = random_tridiagonal(80, 39, field)
+    w, V = intertwiner.eigensolve(H, m, vectors=True)
+    dense = H.toarray()
+    assert np.abs(w - np.linalg.eigvalsh(dense)[:m]).max() <= 1e-13
+    assert np.abs(dense @ V - V * w).max() <= 1e-13
+    assert np.abs(V.conj().T @ V - np.eye(m)).max() <= 1e-13
+    assert np.abs(w - intertwiner.eigensolve(H, m)).max() <= 1e-13  # values alone
+
+
+def test_lanczos_eigenpairs_have_small_residuals():
+    X = np.random.default_rng(40).normal(size=(60, 60))
+    H = sp.csr_array(X + X.T)
+    w, V = intertwiner.eigensolve(H, 5, vectors=True)
+    assert np.abs(w - np.linalg.eigvalsh(H.toarray())[:5]).max() <= 1e-10
+    assert np.abs(H @ V - V * w).max() <= 1e-10
+
+
 BLOCK_SIZES = {10: [1, 2, 3, 4], 57: [1, 3, 5, 8, 40], 200: [1, 7, 12, 40, 40, 100]}
 
 
@@ -572,7 +617,7 @@ def certified_case(kind, d, n_modes, seed):
         H = (X + X.conj().T) / 2
     else:
         H = permuted_blocks(BLOCK_SIZES[d], seed)
-    _, a, _ = intertwiner._eigenpairs(H)
+    a = intertwiner.eigensolve(H)
     cert = certify(H, None, n_modes)
     assert cert.passed and sp.issparse(cert.U) is (kind == "blocks")
     return H, cert.U, a, TruncationBasis.build(n_modes, d)

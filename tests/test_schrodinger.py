@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spectralforge import schrodinger
+from spectralforge import intertwiner, schrodinger
 
 from spectralforge.errors import CapacityError, InputError
 from spectralforge.fockspace import dense_within_cap
@@ -122,11 +122,11 @@ def test_low_spectrum_1d_matches_dense_eigvalsh(m, monkeypatch):
     def no_dense(*args, **kwargs):
         raise AssertionError("a tridiagonal H needs neither the dense solver nor Lanczos")
 
-    selects, solve = [], schrodinger.eigvalsh_tridiagonal
-    monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal",
+    selects, solve = [], intertwiner.eigh_tridiagonal
+    monkeypatch.setattr(intertwiner, "eigh_tridiagonal",
                         lambda *args, **kwargs: selects.append(kwargs.get("select", "a"))
                         or solve(*args, **kwargs))
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    monkeypatch.setattr(intertwiner, "eigendecompose", no_dense)
     monkeypatch.setattr(spla, "eigsh", no_dense)
     w = low_spectrum(H, m)
     assert w.shape == (m,)
@@ -143,6 +143,17 @@ def test_low_spectrum_complex_hermitian_tridiagonal():
     assert np.abs(low_spectrum(H, 40) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_low_spectrum_split_tridiagonal_makes_no_block_dense():
+    # a zero hopping splits the chain in two blocks of 100, each above the cap
+    rng = np.random.default_rng(8)
+    e = rng.uniform(0.5, 1.5, 199)
+    e[99] = 0.0
+    H = sp.diags([e, rng.normal(size=200), e], [-1, 0, 1], format="csr")
+    ref = np.linalg.eigvalsh(H.toarray())
+    for m in (5, 200):  # bisection, then MRRR
+        assert np.abs(low_spectrum(H, m, cap=50) - ref[:m]).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_low_spectrum_complex_hermitian_dense_lowest_levels():
     # a dense H takes the sparse dispatch, so a full complex one goes to Lanczos
     rng = np.random.default_rng(7)
@@ -154,6 +165,21 @@ def test_low_spectrum_complex_hermitian_dense_lowest_levels():
             warnings.simplefilter("error")
             w = low_spectrum(H, m)
         assert np.abs(w - ref[:m]).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("entry, message", [(5.0, "not Hermitian"), (np.nan, "not finite"),
+                                            (np.inf, "not finite")],
+                         ids=["non_symmetric", "nan", "inf"])
+def test_low_spectrum_refuses_bad_input(entry, message):
+    # a tridiagonal 1-D grid and a 2-D grid solved by Lanczos
+    for grid, m in ((GridSpec(1, 5.0, 16), 4), (GridSpec(2, 5.0, 16), 4)):
+        H = assemble_sparse(grid, potential("harmonic", grid)).tolil()
+        if np.isfinite(entry):
+            H[3, 4] = entry  # H[4, 3] stays -1/h^2
+        else:
+            H[3, 3] = entry
+        with pytest.raises(InputError, match=message):
+            low_spectrum(H.tocsr(), m)
 
 
 def test_low_spectrum_range_check():
@@ -629,18 +655,19 @@ def test_asymmetric_1d_potential_is_one_counted_block(monkeypatch):
 
 @pytest.mark.parametrize("skip", ["lowest", "second"])
 def test_tridiagonal_solve_that_misses_a_level_is_refused(monkeypatch, skip):
-    eigvalsh = schrodinger.eigvalsh_tridiagonal
+    eigh = intertwiner.eigh_tridiagonal
     calls = []
 
-    def missing(d, e, select="a", select_range=None):
+    def missing(d, e, eigvals_only=False, select="a", select_range=None):
+        assert eigvals_only  # levels are asked for, never vectors
         calls.append(select)
         if select == "a":  # the whole spectrum, of which low_spectrum keeps the lowest m
-            w = eigvalsh(d, e)
+            w = eigh(d, e, eigvals_only=True)
             return w[1:] if skip == "lowest" else np.delete(w, 1)
-        return _skipping(lambda k: eigvalsh(d, e, select="i", select_range=(0, k - 1)),
-                         skip)(select_range[1] + 1)
+        return _skipping(lambda k: eigh(d, e, eigvals_only=True, select="i",
+                                        select_range=(0, k - 1)), skip)(select_range[1] + 1)
 
-    monkeypatch.setattr(schrodinger, "eigvalsh_tridiagonal", missing)
+    monkeypatch.setattr(intertwiner, "eigh_tridiagonal", missing)
     grid = GridSpec(1, 10.0, 200)
     # the halves have 100 levels: 3 are bisected, 10 (at least 100/16) solved whole
     for m, select in ((3, "i"), (10, "a")):
@@ -666,7 +693,7 @@ def test_low_spectrum_caps_the_dense_solve_before_making_it(monkeypatch, m):
     def no_dense(self, *args, **kwargs):
         raise AssertionError("H was made dense before the cap was checked")
 
-    monkeypatch.setattr(sp.csr_matrix, "toarray", no_dense)
+    monkeypatch.setattr(sp.csr_array, "toarray", no_dense)  # the dispatch reads H as CSR
     with pytest.raises(CapacityError, match="matrix dimension 256 exceeds cap 100"):
         low_spectrum(H, m, cap=100)
     monkeypatch.setenv("SPECTRAL_FORGE_CAP", "255")
