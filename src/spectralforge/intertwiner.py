@@ -82,7 +82,7 @@ def _diagonal(A) -> np.ndarray:
 PIVOT_RTOL = 1e-10  # how far a shift or cutoff at a zero pivot moves, relative
 
 
-def _level_count(m, dim: int) -> int:
+def level_count(m, dim: int) -> int:
     """m as an int in 1..dim, with None for dim, or InputError."""
     m = dim if m is None else int(m)
     if not 1 <= m <= dim:
@@ -99,9 +99,9 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
 
     1. a dense H whose first row has no zero, for all levels or all but
        one: ``eigendecompose``;
-    2. several connected components, unless H is tridiagonal and only
-       values are asked for: one stacked ``eigh`` per block size, each
-       block within ``cap``, and a block-sparse CSC V;
+    2. with ``vectors``, several connected components: one stacked
+       ``eigh`` per block size, each block within ``cap``, and a
+       block-sparse CSC V;
     3. a tridiagonal H: ``eigh_tridiagonal``;
     4. all levels or all but one: ``eigendecompose``, a sparse H made dense
        within ``cap``;
@@ -123,7 +123,7 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
     if not np.isfinite(H.data if sp.issparse(H) else H).all():
         raise InputError("H has entries that are not finite")
     remedy = "give a smaller matrix" if m is None else "ask for fewer levels"
-    m = _level_count(m, dim)
+    m = level_count(m, dim)
     if not sp.issparse(H) and m >= dim - 1 and np.all(H[0] != 0):
         return _lowest(eigendecompose(H, vectors=vectors), m)
     given, H = H, sp.csr_array(H)
@@ -131,12 +131,12 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
         raise InputError("matrix is not Hermitian within tolerance")
     C = H.tocoo()
     tridiagonal = not np.any(C.data[np.abs(C.row - C.col) > 1])
-    # a tridiagonal H wants its components only for block-sparse vectors, and
-    # one with no zero above its diagonal is a single chain
-    if not (tridiagonal and (not vectors or H.diagonal(1).all())):
+    # components only give block-sparse vectors; a tridiagonal H with no
+    # zero above its diagonal is a single chain
+    if vectors and not (tridiagonal and H.diagonal(1).all()):
         count, labels = connected_components(H != 0, directed=False)
         if count > 1:
-            return _lowest(_stacked(H, labels, vectors, cap), m)
+            return _lowest(_stacked(H, labels, cap), m)
     if tridiagonal:
         return _tridiagonal(H, m, vectors)
     if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
@@ -153,8 +153,8 @@ def _lowest(solved, m: int):
     return solved[:m]
 
 
-def _stacked(H, labels: np.ndarray, vectors: bool, cap):
-    """Every eigenvalue of the CSR H, block by block over its components, and a CSC V.
+def _stacked(H, labels: np.ndarray, cap):
+    """Every eigenpair of the CSR H, block by block over its components, with a CSC V.
 
     Equal eigenvalues keep the order of their blocks' first nodes: basis
     order for 1 x 1 blocks.
@@ -171,18 +171,12 @@ def _stacked(H, labels: np.ndarray, vectors: bool, cap):
         # entry (r, c) of block i goes to row i s + r, column c of a (k s) x s stack
         stack = sp.coo_array((C.data[at], (C.row[at] - start, (C.col[at] - start) % s)),
                              shape=(k * s, s))
-        stack = dense_within_cap(stack, cap).reshape(k, s, s)
-        if vectors:
-            wk, Vk = np.linalg.eigh(stack)
-            vals.append(Vk.transpose(0, 2, 1).ravel())  # column by column
-            rows.append(np.repeat(start + np.arange(k * s).reshape(k, s), s, axis=0).ravel())
-        else:
-            wk = np.linalg.eigvalsh(stack)
+        wk, Vk = np.linalg.eigh(dense_within_cap(stack, cap).reshape(k, s, s))
         w.append(wk.ravel())
+        vals.append(Vk.transpose(0, 2, 1).ravel())  # column by column
+        rows.append(np.repeat(start + np.arange(k * s).reshape(k, s), s, axis=0).ravel())
         start += k * s
     w = np.concatenate(w)
-    if not vectors:
-        return np.sort(w)
     indptr = np.concatenate(([0], np.cumsum(size[nodes])))
     V = sp.csc_array((np.concatenate(vals), nodes[np.concatenate(rows)], indptr), shape=H.shape)
     order = np.lexsort((V.indices[indptr[:-1]], w))

@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import InputError
 from .fockspace import dimension_cap, sparse_diagonal
-from .intertwiner import PIVOT_RTOL, IntegrabilityCertificate, _level_count, certify, eigensolve
+from .intertwiner import PIVOT_RTOL, IntegrabilityCertificate, certify, eigensolve, level_count
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def grid_levels(
     checked here, bounds each matrix that ``low_spectrum`` makes dense.
     """
     V = _on_grid(V, grid)
-    m = _level_count(m, grid.size)
+    m = level_count(m, grid.size)
     cap = dimension_cap(cap)
     W = _mirror_average(grid, V)
     if W is None:

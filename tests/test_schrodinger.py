@@ -126,8 +126,9 @@ def test_low_spectrum_1d_matches_dense_eigvalsh(m, monkeypatch):
     monkeypatch.setattr(intertwiner, "eigh_tridiagonal",
                         lambda *args, **kwargs: selects.append(kwargs.get("select", "a"))
                         or solve(*args, **kwargs))
-    monkeypatch.setattr(intertwiner, "eigendecompose", no_dense)
-    monkeypatch.setattr(spla, "eigsh", no_dense)
+    for module, name in ((intertwiner, "eigendecompose"), (np.linalg, "eigvalsh"),
+                         (np.linalg, "eigh"), (spla, "eigsh")):
+        monkeypatch.setattr(module, name, no_dense)
     w = low_spectrum(H, m)
     assert w.shape == (m,)
     assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -143,15 +144,20 @@ def test_low_spectrum_complex_hermitian_tridiagonal():
     assert np.abs(low_spectrum(H, 40) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_low_spectrum_split_tridiagonal_makes_no_block_dense():
-    # a zero hopping splits the chain in two blocks of 100, each above the cap
+def test_low_spectrum_split_H_makes_no_block_dense():
+    # values alone never split H: a chain cut by a zero hopping into two
+    # blocks of 100, and two disconnected 2-D grids of 256, each block above the cap
     rng = np.random.default_rng(8)
     e = rng.uniform(0.5, 1.5, 199)
     e[99] = 0.0
-    H = sp.diags([e, rng.normal(size=200), e], [-1, 0, 1], format="csr")
-    ref = np.linalg.eigvalsh(H.toarray())
-    for m in (5, 200):  # bisection, then MRRR
-        assert np.abs(low_spectrum(H, m, cap=50) - ref[:m]).max() <= 1e-12 * np.abs(ref).max()
+    chain = sp.diags([e, rng.normal(size=200), e], [-1, 0, 1], format="csr")
+    grid = GridSpec(2, 6.0, 16)
+    grids = sp.block_diag([assemble_sparse(grid, rng.normal(size=grid.size)) for _ in range(2)],
+                          format="csr")
+    # bisection, MRRR, then Lanczos
+    for H, m, cap, rtol in ((chain, 5, 50, 1e-12), (chain, 200, 50, 1e-12), (grids, 5, 200, 1e-10)):
+        ref = np.linalg.eigvalsh(H.toarray())
+        assert np.abs(low_spectrum(H, m, cap=cap) - ref[:m]).max() <= rtol * np.abs(ref).max()
 
 
 def test_low_spectrum_complex_hermitian_dense_lowest_levels():
