@@ -66,15 +66,8 @@ class ActionTable:
                 f"need at least {corner + 1} energies to fill the {K}^{n} node grid"
             )
         nodes = np.arange(K, dtype=float)
-        if n == 1:
-            values = arr[:K].copy()
-        else:
-            ranks = pairing.encode_many(
-                np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1)
-                .reshape(-1, 2)
-                .astype(np.int64)
-            )
-            values = arr[ranks].reshape(K, K)
+        grid = np.indices((K,) * n).reshape(n, -1).T  # the nodes in C order
+        values = arr[pairing.encode_many(grid)].reshape((K,) * n)
         # tensor-product not-a-knot spline: spline the leading node axis,
         # move its (power, cell) axes last, repeat once per mode
         coeffs = values
@@ -199,23 +192,9 @@ class FlowReport:
 
     def trajectory_csv(self) -> str:
         n = self.xs.shape[1]
-        header = (
-            ["t"]
-            + [f"x{i+1}" for i in range(n)]
-            + [f"p{i+1}" for i in range(n)]
-            + [f"J{i+1}" for i in range(n)]
-            + ["energy"]
-        )
-        lines = [",".join(header)]
-        for k in range(self.times.size):
-            row = (
-                [self.times[k]]
-                + list(self.xs[k])
-                + list(self.ps[k])
-                + list(self.actions[k])
-                + [self.energies[k]]
-            )
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        header = ["t", *(f"{c}{i + 1}" for c in "xpJ" for i in range(n)), "energy"]
+        rows = np.column_stack((self.times, self.xs, self.ps, self.actions, self.energies))
+        lines = [",".join(header), *(",".join(f"{v:.17g}" for v in row) for row in rows.tolist())]
         return "\n".join(lines) + "\n"
 
 

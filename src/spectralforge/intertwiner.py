@@ -105,10 +105,10 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
     3. a tridiagonal H: ``eigh_tridiagonal``;
     4. all levels or all but one: ``eigendecompose``, a sparse H made dense
        within ``cap``;
-    5. shift-invert Lanczos, 1 below H's Gershgorin bound or, for a
-       ``window`` (floor, c) with exactly m levels between, 1 below the
-       floor when c is infinite, else at the midpoint, where those m are
-       the nearest.
+    5. shift-invert Lanczos in a ``window`` (floor, c) with exactly m
+       levels between: 1 below the floor when c is infinite, else at the
+       midpoint, where those m are the nearest.  A missing window is
+       (Gershgorin's bound, ∞).
 
     Values alone never compute vectors.
     """
@@ -207,15 +207,12 @@ def _tridiagonal(H, m: int, vectors: bool):
 def _shift_invert(H, m: int, vectors: bool, window):
     """The m eigenpairs of the CSR H nearest a shift below, or inside, its lowest m levels."""
     dim = H.shape[0]
-    if window is None:
-        # Gershgorin lower bound keeps the shift strictly below the spectrum
+    if window is None:  # Gershgorin's lower bound on the spectrum
         Habs = abs(H)
-        row_radius = np.asarray(Habs.sum(axis=1)).ravel() - Habs.diagonal()
-        sigma, width = float((H.diagonal().real - row_radius).min()) - 1.0, 0.0
-    else:
-        floor, c = float(window[0]), float(window[1])
-        # every level above c lies farther from the midpoint than any below it
-        sigma, width = (floor - 1.0, 0.0) if c == math.inf else (0.5 * (floor + c), c - floor)
+        window = ((H.diagonal().real - (_row_sums(Habs) - Habs.diagonal())).min(), math.inf)
+    floor, c = float(window[0]), float(window[1])
+    # every level above c lies farther from the midpoint than any below it
+    sigma, width = (floor - 1.0, 0.0) if c == math.inf else (0.5 * (floor + c), c - floor)
     # fixed start vector keeps the Lanczos iteration bit-reproducible
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
     for _ in range(4):
@@ -384,8 +381,9 @@ def _minus_scaled_rows(R, s: np.ndarray, U):
     return R
 
 
-def _residual_row_norms(U, H, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The squared row norms of R = UH − diag(a) U and of R_ρ = UH − diag(ρ) U.
+def _residual_row_norms(U, H, a: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared row norms of R = UH − diag(a) U and of R_ρ = UH − diag(ρ) U,
+    given U's squared row norms u2, the diagonal of UU† (see ``_gram_defect``).
 
     ρ_k = Re(u_k H u_k†)/‖u_k‖² is row k's Rayleigh quotient, so the row
     r_k − r^ρ_k = (ρ_k − a_k) u_k of R − R_ρ is orthogonal to r^ρ_k, and
@@ -396,21 +394,22 @@ def _residual_row_norms(U, H, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not sp.issparse(R):
         R = np.asarray(R, dtype=np.result_type(R, float))  # in place below, so inexact
         U = U.toarray() if sp.issparse(U) else U
-    u2 = _row_inner(U, U)
     rho = np.divide(_row_inner(R, U), u2, out=np.zeros_like(u2), where=u2 > 0)
     rho2 = _row_sums(_squared_moduli(_minus_scaled_rows(R, rho, U)))
     return rho2 + (rho - a) ** 2 * u2, rho2
 
 
 def _gram_defect(U):
-    """|UU† − I|² entry by entry, and max|UU† − I|."""
+    """U's squared row norms, the real diagonal of UU†; |UU† − I|² entry by
+    entry; and max|UU† − I|."""
     G = U @ U.conj().T
+    u2 = G.diagonal().real.copy()
     if sp.issparse(G):
         G = G - sp.csr_array(sp.identity(U.shape[0]))
     else:
         G[np.diag_indices_from(G)] -= 1
     P = _squared_moduli(G)
-    return P, float(np.sqrt(P.max()))
+    return u2, P, float(np.sqrt(P.max()))
 
 
 def _antisymmetric_mass(P, x: np.ndarray, y: np.ndarray) -> float:
@@ -469,11 +468,11 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     # each residual is reduced to vectors and scalars as soon as it is
     # measured, and freed before the next one is formed
     herm_defect = _frob(Hop - Hop.conj().T)
-    r2, rho2 = _residual_row_norms(Uop, Hop, a)
-    P, unit_defect = _gram_defect(Uop)
+    row_norms2, P, unit_defect = _gram_defect(Uop)
     u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
     pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
     del P
+    r2, rho2 = _residual_row_norms(Uop, Hop, a, row_norms2)
     max_pair = u2 * float(np.sqrt(pair_mass))
     max_ham = max((2.0 * float(np.sqrt(u2 * np.dot(x * x, rho2))) + herm_defect * float(x.max()) * u2
                    for x in n), default=0.0)

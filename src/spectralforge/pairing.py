@@ -130,9 +130,7 @@ def enumerate_first(d: int, n: int) -> np.ndarray:
 
 
 def _comb_int64(x: np.ndarray, m: int) -> np.ndarray:
-    """C(x, m) for an int64 array and small fixed m (falling-product formula)."""
-    if m == 0:
-        return np.ones_like(x)
+    """C(x, m) for an int64 array and small fixed m >= 1 (falling-product formula)."""
     num = np.ones_like(x)
     for i in range(m):
         num = num * (x - i)

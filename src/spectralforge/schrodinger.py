@@ -159,7 +159,8 @@ def low_spectrum(
 
     ``cap`` (default ``fockspace.dimension_cap()``) bounds a matrix made
     dense.  A ``window`` (floor, c), of a floor strictly below the spectrum
-    and a cutoff c with exactly m levels below it, shifts Lanczos into it.
+    and a cutoff c with exactly m levels below it, shifts Lanczos into it;
+    a missing window is (Gershgorin's bound, ∞).
     """
     return eigensolve(H, m, cap=cap, window=window)
 

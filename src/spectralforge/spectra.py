@@ -6,7 +6,7 @@ values are meaningful and encode eigenvalue multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -50,15 +50,7 @@ class IsospectralReport:
     note: str = CONTINUOUS_SPECTRUM_NOTE
 
     def to_dict(self) -> dict:
-        return {
-            "matched": self.matched,
-            "tol": self.tol,
-            "length_a": self.length_a,
-            "length_b": self.length_b,
-            "unmatched_a": list(self.unmatched_a),
-            "unmatched_b": list(self.unmatched_b),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def completely_isospectral(a, b, tol: float) -> IsospectralReport:
@@ -123,7 +115,7 @@ class ClosedSetSpec:
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "ClosedSetSpec":
-        return cls(variant="intervals", intervals=((float(lo), float(hi)),))
+        return cls.interval_union([(lo, hi)])
 
     @classmethod
     def interval_union(cls, pairs) -> "ClosedSetSpec":

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -291,9 +293,16 @@ def test_domain_exit_truncates_with_flag():
 def test_trajectory_csv_shape():
     table = quadratic_two_mode_table()
     report = integrate_flow(table, [1.0, 1.0], [0.0, 0.0], T=1.0, dt=0.01)
-    lines = report.trajectory_csv().strip().splitlines()
+    csv = report.trajectory_csv()
+    lines = csv.strip().splitlines()
     assert lines[0] == "t,x1,x2,p1,p2,J1,J2,energy"
     assert len(lines) == report.times.size + 1
+    # every float printed with 17 significant digits, so it reads back exactly
+    out = io.StringIO()
+    columns = (report.times, report.xs, report.ps, report.actions, report.energies)
+    np.savetxt(out, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=lines[0], comments="")
+    assert csv == out.getvalue()
 
 
 def test_build_validation():

@@ -739,12 +739,14 @@ def test_rayleigh_residual_of_a_permutation_is_the_residual(structured):
     """For a permutation U, R = UH − diag(a) U has no real part along U's
     rows, so R_ρ = R and diagonal-H certificates are as before."""
     H, A, basis = structured
-    U = certify(H, None, 3).U
-    r2, rho2 = intertwiner._residual_row_norms(sp.csr_array(U), sp.csr_array(H), np.diag(A).real)
+    U = sp.csr_array(certify(H, None, 3).U)
+    u2 = intertwiner._gram_defect(U)[0]
+    r2, rho2 = intertwiner._residual_row_norms(U, sp.csr_array(H), np.diag(A).real, u2)
     assert r2.any() and np.array_equal(rho2, r2)  # R is the 1e-13 imaginary part of H
     levels = np.sort(np.random.default_rng(3).uniform(0.0, 5.0, 40))
     U = certify(sparse_diagonal(levels), None, 2).U
-    r2, rho2 = intertwiner._residual_row_norms(U, sparse_diagonal(levels), levels)
+    u2 = intertwiner._gram_defect(U)[0]
+    r2, rho2 = intertwiner._residual_row_norms(U, sparse_diagonal(levels), levels, u2)
     assert np.array_equal(rho2, r2) and not r2.any()
 
 
