@@ -7,9 +7,11 @@ action exactly along the continuous flow; the integrator report bounds the
 numerical drift.
 
 The not-a-knot spline is built once, as a table of power-basis
-coefficients per unit cell, and every evaluation reads that table with
-Horner's rule: in numpy for values and gradients at many points, and on
-plain Python floats inside the RK4 loop, which makes no numpy call per step.
+coefficients per unit cell, from one tridiagonal solve per mode for the
+node slopes (``_not_a_knot``, by ``scipy.linalg.solve_banded``).  Every
+evaluation reads that table with Horner's rule: in numpy for values and
+gradients at many points, and on plain Python floats inside the RK4 loop,
+which makes no numpy call per step.
 That loop is unrolled once per mode count on the flat state (x1, p1[, x2, p2]),
 so a step builds no list or tuple of pairs; the path is one flat list of
 floats, reshaped once at the end.
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from . import pairing
 from .errors import CapacityError, InputError
@@ -39,9 +42,11 @@ class ActionTable:
 
     The spline is one member of the uncountable family of valid smooth
     extensions; it is C^2, which is enough for the C^1 gradients the flow
-    needs.  It is held as ``coeffs``, shape (K-1,)*n + (4,)*n: entry
-    ``coeffs[i][j][a][b]`` multiplies (J_1 - i)^(3-a) (J_2 - j)^(3-b) on the
-    unit cell at node (i, j), and likewise for one mode.
+    needs.  It is the tensor product of one-dimensional not-a-knot splines,
+    built by ``_not_a_knot`` along each mode in turn, and is held as
+    ``coeffs``, shape (K-1,)*n + (4,)*n: entry ``coeffs[i][j][a][b]``
+    multiplies (J_1 - i)^(3-a) (J_2 - j)^(3-b) on the unit cell at node
+    (i, j), and likewise for one mode.
     """
 
     n: int
@@ -51,8 +56,6 @@ class ActionTable:
 
     @classmethod
     def build(cls, seq, n: int, K: int) -> "ActionTable":
-        from scipy.interpolate import CubicSpline  # loaded on use: only the flow splines
-
         n = int(n)
         K = int(K)
         if n not in (1, 2):
@@ -65,7 +68,6 @@ class ActionTable:
             raise InputError(
                 f"need at least {corner + 1} energies to fill the {K}^{n} node grid"
             )
-        nodes = np.arange(K, dtype=float)
         grid = np.indices((K,) * n).reshape(n, -1).T  # the nodes in C order
         values = arr[pairing.encode_many(grid)].reshape((K,) * n)
         # tensor-product not-a-knot spline: spline the leading node axis,
@@ -74,9 +76,9 @@ class ActionTable:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 for _ in range(n):
-                    coeffs = np.moveaxis(CubicSpline(nodes, coeffs).c, (0, 1), (-2, -1))
+                    coeffs = np.moveaxis(_not_a_knot(coeffs), (0, 1), (-2, -1))
                 finite = np.isfinite(coeffs).all()
-            except ValueError:  # SciPy refuses slopes or values that overflowed
+            except ValueError:  # solve_banded refuses slopes or values that overflowed
                 finite = False
         if not finite:
             raise InputError("the action table's spline overflows; rescale the spectrum")
@@ -171,6 +173,32 @@ class ActionTable:
             )
 
         return frequencies
+
+
+def _not_a_knot(y) -> np.ndarray:
+    """Power-basis coefficients of the not-a-knot cubic spline through y on the nodes 0..K-1.
+
+    Splines along axis 0 of y, K >= 4.  The result has shape
+    (4, K-1) + y.shape[1:]: entry [a, i] multiplies (x - i)^(3-a) on the
+    cell [i, i+1].  The node slopes s solve the tridiagonal system of de Boor
+    (A Practical Guide to Splines, ch. IV) with every spacing 1, whose first
+    and last rows make the third derivative continuous at nodes 1 and K-2.
+    These are the operations of SciPy's not-a-knot interpolating spline on
+    unit spacing, and the tests compare the two.  A right-hand side that
+    overflowed raises ``ValueError``.
+    """
+    K = y.shape[0]
+    m = np.diff(y, axis=0)
+    rhs = np.empty_like(y)
+    rhs[0] = (5 * m[0] + m[1]) / 2
+    rhs[1:-1] = 3 * (m[:-1] + m[1:])
+    rhs[-1] = (m[-2] + 5 * m[-1]) / 2
+    bands = np.ones((3, K))  # upper, main and lower diagonals
+    bands[1, 1:-1] = 4.0
+    bands[0, 1] = bands[2, -2] = 2.0
+    s = solve_banded((1, 1), bands, rhs.reshape(K, -1)).reshape(y.shape)
+    t = s[:-1] + s[1:] - 2 * m
+    return np.stack((t, m - s[:-1] - t, s[:-1], y[:-1]))
 
 
 def actions_of(z_x, z_p) -> np.ndarray:

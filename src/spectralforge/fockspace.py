@@ -27,6 +27,7 @@ from .errors import CapacityError, InputError
 from .spectra import as_spectrum
 
 HERMITICITY_RTOL = 1e-10
+HERMITICITY_TILE = 128  # two complex tiles take 512 KiB, which stay in cache
 DEFAULT_DIM_CAP = 4096
 CAP_ENV_VAR = "SPECTRAL_FORGE_CAP"
 
@@ -53,6 +54,28 @@ def sparse_diagonal(diag) -> sp.csr_array:
     return sp.csr_array((diag, np.arange(d), np.arange(d + 1)), shape=(d, d))
 
 
+def hermitian_defect(M: np.ndarray) -> tuple[float, float, float]:
+    """max|M - M^dagger|, ||M - M^dagger||_F and max|M| of a dense square M.
+
+    Reads one pair of tiles M[I, J], M[J, I] with I <= J at a time, so no
+    d x d temporary is formed: tile (J, I) of M - M^dagger is minus the
+    adjoint of tile (I, J), with the same moduli.  A NaN entry makes every
+    result NaN.
+    """
+    d, b = M.shape[0], HERMITICITY_TILE
+    defect_max = sum_sq = entry_max = np.float64(0.0)
+    for i in range(0, d, b):
+        for j in range(i, d, b):
+            upper, lower = M[i : i + b, j : j + b], M[j : j + b, i : i + b]
+            D = np.abs(upper - lower.conj().T)
+            defect_max = np.maximum(defect_max, D.max())
+            sum_sq += (1.0 if i == j else 2.0) * np.vdot(D, D)
+            entry_max = np.maximum(entry_max, np.abs(upper).max())
+            if i != j:
+                entry_max = np.maximum(entry_max, np.abs(lower).max())
+    return float(defect_max), float(np.sqrt(sum_sq)), float(entry_max)
+
+
 def is_hermitian(M) -> bool:
     """True when M, dense or sparse, is square and M - M^dagger is within HERMITICITY_RTOL."""
     if not sp.issparse(M):
@@ -61,8 +84,11 @@ def is_hermitian(M) -> bool:
         return False
     if not M.shape[0]:
         return True  # the empty matrix, which has no entry to take a max of
-    scale = max(1.0, float(abs(M).max()))
-    return float(abs(M - M.conj().T).max()) <= HERMITICITY_RTOL * scale
+    if sp.issparse(M):
+        defect, scale = float(abs(M - M.conj().T).max()), float(abs(M).max())
+    else:
+        defect, _, scale = hermitian_defect(M)
+    return defect <= HERMITICITY_RTOL * max(1.0, scale)
 
 
 def _number_diagonal(basis: TruncationBasis, mode: int) -> np.ndarray:

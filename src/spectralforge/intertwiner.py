@@ -53,6 +53,7 @@ from .fockspace import (
     _synthesized_diagonal,
     dense_within_cap,
     eigendecompose,
+    hermitian_defect,
     is_hermitian,
     sparse_diagonal,
 )
@@ -467,7 +468,7 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
 
     # each residual is reduced to vectors and scalars as soon as it is
     # measured, and freed before the next one is formed
-    herm_defect = _frob(Hop - Hop.conj().T)
+    herm_defect = _frob(Hop - Hop.conj().T) if sp.issparse(Hop) else hermitian_defect(Hop)[1]
     row_norms2, P, unit_defect = _gram_defect(Uop)
     u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
     pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)

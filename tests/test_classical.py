@@ -9,6 +9,7 @@ from spectralforge.classical import (
     FLOW_DOMAIN_TOL,
     MAX_FLOW_STEPS,
     ActionTable,
+    _not_a_knot,
     actions_of,
     integrate_flow,
 )
@@ -90,6 +91,30 @@ def test_two_mode_table_is_the_bicubic_spline():
     grads = np.array([table.gradient_at_actions(j) for j in J])
     assert_close(grads[:, 0], ref(J[:, 0], J[:, 1], dx=1, grid=False))
     assert_close(grads[:, 1], ref(J[:, 0], J[:, 1], dy=1, grid=False))
+
+
+@pytest.mark.parametrize("K", [4, 5, 9, 33])
+def test_not_a_knot_is_scipys_cubic_spline(K):
+    rng = np.random.default_rng(K)
+    for shape in ((K,), (K, 3), (K, 4, K - 1)):
+        y = rng.normal(size=shape)
+        ref = CubicSpline(np.arange(K, dtype=float), y).c
+        got = _not_a_knot(y)
+        assert got.shape == ref.shape == (4, K - 1) + shape[1:]
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n, K", [(1, 9), (2, 7)])
+def test_table_coeffs_are_the_per_axis_cubic_spline(n, K):
+    rng = np.random.default_rng(14)
+    d = pairing.encode((K - 1,) * n) + 1
+    table = ActionTable.build(np.sort(rng.uniform(0.0, 30.0, size=d)), n, K)
+    ref = table.values
+    for _ in range(n):
+        ref = np.moveaxis(CubicSpline(np.arange(K, dtype=float), ref).c, (0, 1), (-2, -1))
+    ref = ref.transpose(tuple(range(1, 2 * n, 2)) + tuple(range(0, 2 * n, 2)))
+    assert table.coeffs.shape == ref.shape
+    assert np.abs(table.coeffs - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n, K", [(1, 9), (2, 7)])

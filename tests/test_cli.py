@@ -335,6 +335,28 @@ def test_cli_import_defers_interpolate_and_special():
         out["gue"], [0.11199971378298262, 0.5330502005906137, 0.982949876829839], rtol=1e-12)
 
 
+_CLASSICAL_IMPORTS_SCRIPT = """
+import json, sys
+from spectralforge import cli
+code = cli.run(["classical", "--spectrum", sys.argv[1], "--modes", "2", "--nodes", "8",
+                "--time", "1", "--no-timestamp"])
+print(json.dumps({"code": code, "loaded": [
+    m for m in ("scipy.interpolate", "scipy.optimize") if m in sys.modules]}))
+"""
+
+
+def test_classical_loads_neither_interpolate_nor_optimize(tmp_path):
+    """The action table's spline is one banded solve from scipy.linalg, so a
+    whole ``classical`` run leaves scipy.interpolate and scipy.optimize unloaded."""
+    table = tmp_path / "table.txt"
+    np.savetxt(table, np.sort(np.random.default_rng(1).uniform(0.0, 1.0, 200)))
+    proc = subprocess.run([sys.executable, "-c", _CLASSICAL_IMPORTS_SCRIPT, str(table)],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"code": 0, "loaded": []}
+
+
 def test_zeta_comparative_report(zeros_file, capsys):
     code, report = run_report(
         ["zeta", "--zeros", zeros_file, "--no-timestamp"], capsys

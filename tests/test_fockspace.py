@@ -9,6 +9,7 @@ from spectralforge.fockspace import (
     TruncationBasis,
     dimension_cap,
     eigendecompose,
+    hermitian_defect,
     is_hermitian,
     matrix_from_json,
     matrix_to_json,
@@ -225,6 +226,29 @@ def test_is_hermitian_dense_or_sparse():
     for M in (H, sp.csr_array(H)):
         assert not is_hermitian(M)
     assert not is_hermitian(sp.csr_array(np.ones((2, 3))))
+
+
+@pytest.mark.parametrize("d", [1, 127, 129, 300])
+@pytest.mark.parametrize("field", [float, complex])
+def test_hermitian_defect_is_the_direct_formulas(d, field):
+    rng = np.random.default_rng(d)
+    M = rng.normal(size=(d, d))
+    if field is complex:
+        M = M + 1j * rng.normal(size=(d, d))
+    D = M - M.conj().T
+    defect_max, defect_frob, entry_max = hermitian_defect(M)
+    assert defect_max == np.abs(D).max()
+    assert entry_max == np.abs(M).max()
+    assert defect_frob == pytest.approx(np.linalg.norm(D, "fro"), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("k, l", [(0, 0), (5, 200), (299, 299)])
+def test_a_dense_nan_is_not_hermitian(k, l):
+    # the NaN lies in the first, an off-diagonal and the last tile
+    H = np.eye(300, dtype=complex)
+    H[k, l] = np.nan
+    assert not is_hermitian(H)
+    assert np.isnan(hermitian_defect(H)).all()
 
 
 @pytest.mark.parametrize("cap", [0, -5])
