@@ -106,20 +106,21 @@ class ActionTable:
             c = acc
         return c
 
-    def value_at_actions(self, J) -> float:
+    def _actions(self, J) -> np.ndarray:
+        """J as n float actions in the table domain [0, K-1], else InputError."""
         J = np.atleast_1d(np.asarray(J, dtype=float))
         if J.size != self.n:
             raise InputError(f"expected {self.n} actions")
         if not ((J >= -NODE_MATCH_TOL) & (J <= self.K - 1 + NODE_MATCH_TOL)).all():
-            raise InputError(
-                f"actions {J.tolist()} outside the table domain [0, {self.K - 1}]"
-            )
-        return float(self._evaluate(J, (0,) * self.n)[0])
+            raise InputError(f"actions {J.tolist()} outside the table domain [0, {self.K - 1}]")
+        return J
+
+    def value_at_actions(self, J) -> float:
+        return float(self._evaluate(self._actions(J), (0,) * self.n)[0])
 
     def gradient_at_actions(self, J) -> np.ndarray:
-        return np.array(
-            [self._evaluate(J, orders)[0] for orders in np.eye(self.n, dtype=int)]
-        )
+        J = self._actions(J)
+        return np.array([self._evaluate(J, orders)[0] for orders in np.eye(self.n, dtype=int)])
 
     def characteristic_frequency(self) -> float:
         nodes = np.arange(self.K, dtype=float)

@@ -5,7 +5,8 @@ basis size d the synthesized Hamiltonian and all number operators are
 simultaneously diagonal on exactly d states.  Inside the package those
 diagonal operators are held as 1-D arrays of their diagonals
 (``_number_diagonal``, ``_synthesized_diagonal``), or as CSR arrays of d
-entries (``sparse_diagonal``).
+entries (``sparse_diagonal``).  ``hermitian_defect`` is the one measurement
+of an operator, dense or sparse: its Hermiticity defect and scale in one read.
 
 Matrix JSON comes in two forms: dense ``{dim, re, im}`` with all d*d
 entries in row-major order, and sparse ``{dim, rows, cols, re, im}`` with
@@ -54,40 +55,41 @@ def sparse_diagonal(diag) -> sp.csr_array:
     return sp.csr_array((diag, np.arange(d), np.arange(d + 1)), shape=(d, d))
 
 
-def hermitian_defect(M: np.ndarray) -> tuple[float, float, float]:
-    """max|M - M^dagger|, ||M - M^dagger||_F and max|M| of a dense square M.
+def hermitian_defect(M) -> tuple[float, float, float, float]:
+    """max|M - M^dagger|, ||M - M^dagger||_F, max|M| and ||M||_F of a square M, dense or sparse.
 
-    Reads one pair of tiles M[I, J], M[J, I] with I <= J at a time, so no
-    d x d temporary is formed: tile (J, I) of M - M^dagger is minus the
-    adjoint of tile (I, J), with the same moduli.  A NaN entry makes every
-    result NaN.
+    A dense M is read one pair of tiles M[I, J], M[J, I], I <= J, at a time:
+    tile (J, I) of M - M^dagger is minus the adjoint of tile (I, J), with the
+    same moduli.  A sparse M is read as M - M^dagger and a summed copy of M,
+    so its buffers are never written.  A NaN entry makes every result NaN.
     """
+    if sp.issparse(M):
+        D, S = (M - M.conj().T).data, M.tocsr(copy=True)
+        S.sum_duplicates()
+        return (float(np.abs(D).max(initial=0.0)), float(np.linalg.norm(D)),
+                float(np.abs(S.data).max(initial=0.0)), float(np.linalg.norm(S.data)))
+    M = np.asarray(M)
     d, b = M.shape[0], HERMITICITY_TILE
-    defect_max = sum_sq = entry_max = np.float64(0.0)
+    defect_max = defect_sq = entry_max = entry_sq = np.float64(0.0)
     for i in range(0, d, b):
         for j in range(i, d, b):
             upper, lower = M[i : i + b, j : j + b], M[j : j + b, i : i + b]
             D = np.abs(upper - lower.conj().T)
             defect_max = np.maximum(defect_max, D.max())
-            sum_sq += (1.0 if i == j else 2.0) * np.vdot(D, D)
-            entry_max = np.maximum(entry_max, np.abs(upper).max())
-            if i != j:
-                entry_max = np.maximum(entry_max, np.abs(lower).max())
-    return float(defect_max), float(np.sqrt(sum_sq)), float(entry_max)
+            defect_sq += (1.0 if i == j else 2.0) * np.vdot(D, D)
+            for tile in (upper,) if i == j else (upper, lower):
+                A = np.abs(tile)
+                entry_max = np.maximum(entry_max, A.max())
+                entry_sq += np.vdot(A, A)
+    return float(defect_max), float(np.sqrt(defect_sq)), float(entry_max), float(np.sqrt(entry_sq))
 
 
 def is_hermitian(M) -> bool:
     """True when M, dense or sparse, is square and M - M^dagger is within HERMITICITY_RTOL."""
-    if not sp.issparse(M):
-        M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    shape = np.shape(M)
+    if len(shape) != 2 or shape[0] != shape[1]:
         return False
-    if not M.shape[0]:
-        return True  # the empty matrix, which has no entry to take a max of
-    if sp.issparse(M):
-        defect, scale = float(abs(M - M.conj().T).max()), float(abs(M).max())
-    else:
-        defect, _, scale = hermitian_defect(M)
+    defect, _, scale, _ = hermitian_defect(M)
     return defect <= HERMITICITY_RTOL * max(1.0, scale)
 
 

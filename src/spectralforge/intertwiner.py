@@ -26,7 +26,9 @@ R = UH - diag(a) U is not formed: its row k is R_rho's plus the orthogonal
 (rho_k - a_k) u_k, so its norm follows from R_rho and rho.  A mode whose
 number diagonal is all zero has T_i = 0: verification skips it, and
 ``certify`` gives every such mode one shared, read-only zero.
-``unitarity_defect`` is max|UU^dagger - I|.
+``unitarity_defect`` is max|UU^dagger - I|.  ``fockspace.hermitian_defect``
+measures H, dense or sparse: once in ``eigensolve``, and once in
+verification for the Hermiticity defect and the gate scale ||H||_F.
 Each operand is multiplied in the kind it is given: a sparse one as CSR, a
 dense one through BLAS.  ``certify`` verifies first and forms the dense or
 CSR T_i afterwards, for its callers.
@@ -47,7 +49,6 @@ from scipy.sparse.csgraph import connected_components
 from . import spectra
 from .errors import InputError, NotIsospectralError
 from .fockspace import (
-    HERMITICITY_RTOL,
     TruncationBasis,
     _number_diagonal,
     _synthesized_diagonal,
@@ -66,16 +67,14 @@ def _diagonal(A) -> np.ndarray:
     """The real 1-D diagonal A of a diagonal operator, as a float copy.
 
     Rejects an A that is not 1-D, entries that are not finite, and a
-    Hermiticity defect above HERMITICITY_RTOL.
+    complex A that ``is_hermitian`` refuses as a CSR diagonal.
     """
     diag = np.asarray(A)
     if diag.ndim != 1:
         raise InputError(f"A must be the 1-D diagonal of a diagonal operator, got {diag.ndim}-D")
     if not np.isfinite(diag).all():
         raise InputError("A has entries that are not finite")
-    scale = max(1.0, float(np.abs(diag).max()) if diag.size else 0.0)
-    # the same defect |M - M^dagger| that fockspace.is_hermitian measures
-    if diag.size and float(np.abs(diag - diag.conj()).max()) > HERMITICITY_RTOL * scale:
+    if np.iscomplexobj(diag) and not is_hermitian(sparse_diagonal(diag)):
         raise InputError("A is not Hermitian: its diagonal is not real")
     return diag.real.astype(float)
 
@@ -128,6 +127,9 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
     if not sp.issparse(H) and m >= dim - 1 and np.all(H[0] != 0):
         return _lowest(eigendecompose(H, vectors=vectors), m)
     given, H = H, sp.csr_array(H)
+    if not H.has_canonical_format:  # H != 0 and abs(H) would sum the caller's duplicates in place
+        H = H.copy()
+        H.sum_duplicates()
     if not is_hermitian(H):
         raise InputError("matrix is not Hermitian within tolerance")
     C = H.tocoo()
@@ -340,14 +342,6 @@ class IntegrabilityCertificate:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
-def _frob(M) -> float:
-    if sp.issparse(M):
-        M = M.tocsr()
-        M.sum_duplicates()  # then the stored entries are the distinct nonzeros
-        return float(np.linalg.norm(M.data))
-    return float(np.linalg.norm(M, "fro"))
-
-
 def _operand(M):
     """M as verification multiplies it: CSR for a sparse M, else a dense array."""
     return sp.csr_array(M) if sp.issparse(M) else np.asarray(M)
@@ -446,7 +440,8 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     T_i = 0.  The D term vanishes for an exactly Hermitian H.  With ρ, a
     sequence off by a uniform shift, which commutes with every T_i, adds
     nothing to the bound.  No T_i is formed.  ``unitarity_defect`` is
-    max|G|, ``hermiticity_defect`` is ‖D‖_F, and ``intertwining_residual``
+    max|G|, ``hermiticity_defect`` is ‖D‖_F, read with ‖H‖_F from one
+    ``hermitian_defect``, and ``intertwining_residual``
     is ‖R‖_F for R = UH − diag(a) U, whose rows' squared norms are
     ‖r^ρ_k‖² + (ρ_k − a_k)²‖u_k‖², so R is not formed.  The commutator bounds,
     the Hermiticity defect and the intertwining residual are gated against
@@ -468,7 +463,7 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
 
     # each residual is reduced to vectors and scalars as soon as it is
     # measured, and freed before the next one is formed
-    herm_defect = _frob(Hop - Hop.conj().T) if sp.issparse(Hop) else hermitian_defect(Hop)[1]
+    _, herm_defect, _, h_norm = hermitian_defect(Hop)
     row_norms2, P, unit_defect = _gram_defect(Uop)
     u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
     pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
@@ -484,7 +479,7 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     rows = basis.indices[np.lexsort(basis.indices.T)]
     independence = not np.any(np.all(rows[1:] == rows[:-1], axis=1))
 
-    scale = _frob(Hop) + sum(float(np.linalg.norm(x)) for x in n)
+    scale = h_norm + sum(float(np.linalg.norm(x)) for x in n)
     bound = DEFAULT_COMMUTATOR_TOL * max(1.0, scale)
     residuals = (max_pair, max_ham, herm_defect, inter_res)
     passed = (

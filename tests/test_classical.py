@@ -339,6 +339,20 @@ def test_build_validation():
         ActionTable.build(np.arange(5.0), 2, 4)  # too few energies for 4x4 grid
 
 
+@pytest.mark.parametrize("method", ["value_at_actions", "gradient_at_actions"])
+@pytest.mark.parametrize("J, message", [
+    ([10.0, 0.0], "outside the table domain"),
+    ([np.nan, 1.0], "outside the table domain"),
+    ([1.0, -0.5], "outside the table domain"),
+    ([1.0], "expected 2 actions"),
+    ([1.0, 2.0, 3.0], "expected 2 actions"),
+], ids=["past-last-node", "nan", "negative", "too-few", "too-many"])
+def test_evaluation_refuses_actions_off_the_table(method, J, message):
+    table = quadratic_two_mode_table(K=5)
+    with pytest.raises(InputError, match=message):
+        getattr(table, method)(J)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_build_refuses_a_spline_that_overflows(n):
     wide = np.geomspace(1e300, 1e308, 30)

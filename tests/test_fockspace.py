@@ -217,6 +217,18 @@ def test_matrix_json_with_zero_imaginary_parts_reads_real():
     assert back.dtype == np.complex128 and np.array_equal(back, X + 1j * X.T)
 
 
+def non_canonical_csr(M):
+    """M as a CSR array with each row's columns descending and every entry
+    stored twice, as M_kl + 1 and -1: duplicates that cancel.  Exact for an
+    M of small dyadic entries, in whatever order the duplicates are summed."""
+    d = M.shape[0]
+    data = np.concatenate([M[:, ::-1] + 1, -np.ones_like(M)], axis=1).ravel()
+    cols = np.tile(np.arange(2 * d)[::-1] % d, d)
+    S = sp.csr_array((data, cols, np.arange(0, 2 * d * d + 1, 2 * d)), shape=(d, d))
+    assert not S.has_canonical_format
+    return S
+
+
 def test_is_hermitian_dense_or_sparse():
     X = np.random.default_rng(5).normal(size=(6, 6)) + 0j
     H = X + X.conj().T
@@ -226,6 +238,13 @@ def test_is_hermitian_dense_or_sparse():
     for M in (H, sp.csr_array(H)):
         assert not is_hermitian(M)
     assert not is_hermitian(sp.csr_array(np.ones((2, 3))))
+    # duplicates that cancel, 1001 - 1000 at (0, 0): the scale is 1, so a
+    # defect of 1e-9 is not within tolerance; M's buffers are only read
+    M = sp.csr_array(([1001.0, -1000.0, 1e-9, 1.0], [0, 0, 1, 1], [0, 3, 4]), shape=(2, 2))
+    before = [part.tobytes() for part in (M.data, M.indices, M.indptr)]
+    assert not is_hermitian(M)
+    assert [part.tobytes() for part in (M.data, M.indices, M.indptr)] == before
+    assert is_hermitian(non_canonical_csr(np.round(64 * (X + X.conj().T)) / 64))
 
 
 @pytest.mark.parametrize("d", [1, 127, 129, 300])
@@ -235,11 +254,14 @@ def test_hermitian_defect_is_the_direct_formulas(d, field):
     M = rng.normal(size=(d, d))
     if field is complex:
         M = M + 1j * rng.normal(size=(d, d))
+    M = np.round(64 * M) / 64  # dyadic, so non_canonical_csr(M) sums to M exactly
     D = M - M.conj().T
-    defect_max, defect_frob, entry_max = hermitian_defect(M)
-    assert defect_max == np.abs(D).max()
-    assert entry_max == np.abs(M).max()
-    assert defect_frob == pytest.approx(np.linalg.norm(D, "fro"), rel=1e-13, abs=0.0)
+    for given in (M, sp.csr_array(M), non_canonical_csr(M)):
+        defect_max, defect_frob, entry_max, entry_frob = hermitian_defect(given)
+        assert defect_max == np.abs(D).max()
+        assert entry_max == np.abs(M).max()
+        assert defect_frob == pytest.approx(np.linalg.norm(D, "fro"), rel=1e-13, abs=0.0)
+        assert entry_frob == pytest.approx(np.linalg.norm(M, "fro"), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("k, l", [(0, 0), (5, 200), (299, 299)])

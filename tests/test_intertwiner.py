@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import unitary_group
 
-from spectralforge import intertwiner
+from spectralforge import fockspace, intertwiner
 from spectralforge.errors import CapacityError, InputError, NotIsospectralError
 from spectralforge.fockspace import (
     TruncationBasis,
@@ -224,6 +224,10 @@ def test_diagonal_A_as_matrix_or_1d():
     H, A, basis = random_conjugated([4.0, 1.0, 3.0, 2.0], 2, 13)
     U = build_unitary(H, np.diag(A))
     assert verify_integrability(H, U, basis, A=np.diag(A)).passed
+    # a complex diagonal is Hermitian within the tolerance of is_hermitian
+    assert verify_integrability(H, U, basis, A=np.diag(A) + 1e-12j).passed
+    with pytest.raises(InputError, match="A is not Hermitian"):
+        verify_integrability(H, U, basis, A=np.diag(A) + 1e-6j)
     for matrix in (A, sp.csr_array(A)):
         with pytest.raises(InputError, match="1-D diagonal"):
             build_unitary(H, matrix)
@@ -791,3 +795,39 @@ def test_zero_modes_share_one_read_only_zero(case):
             assert sp.issparse(T) == sp.issparse(cert.U)
             T = T.toarray() if sp.issparse(T) else T
             assert np.abs(T - U.conj().T @ np.diag(col.astype(float)) @ U).max() <= 1e-13
+
+
+def test_verification_reads_a_non_canonical_csr_H_without_writing_it():
+    # Hermitian [[2, 1, 1j], [1, 3, 1], [-1j, 1, 4]], each row's columns
+    # descending and (0, 0) stored as 3 - 1
+    H = sp.csr_array(
+        ([1j, 1.0, 3.0, -1.0, 1.0, 3.0, 1.0, 4.0, 1.0, -1j], [2, 1, 0, 0, 2, 1, 0, 2, 1, 0],
+         [0, 4, 7, 10]),
+        shape=(3, 3),
+    )
+    assert not H.has_canonical_format
+    before = [part.tobytes() for part in (H.data, H.indices, H.indptr)]
+    cert = certify(H, None, 2)
+    assert cert.passed
+    verify_integrability(H, cert.U, TruncationBasis.build(2, 3), np.linalg.eigvalsh(H.toarray()))
+    assert [part.tobytes() for part in (H.data, H.indices, H.indptr)] == before
+
+
+@pytest.mark.parametrize("kind", ["dense", "csr-diagonal"])
+def test_certify_reads_H_twice_through_hermitian_defect(monkeypatch, kind):
+    X = np.random.default_rng(26).normal(size=(300, 300))
+    H = (X + X.T) / 2 if kind == "dense" else sparse_diagonal(X[0])
+    measure, seen = fockspace.hermitian_defect, []
+
+    def counted(M):
+        seen.append(M)
+        return measure(M)
+
+    for module in (fockspace, intertwiner):
+        monkeypatch.setattr(module, "hermitian_defect", counted)
+    assert certify(H, None, 2).passed
+    # once to choose the eigensolver, once in verification; A's diagonal is real
+    assert len(seen) == 2
+    assert all(np.shares_memory(M.data if sp.issparse(M) else M, H.data if sp.issparse(H) else H)
+               for M in seen)
+    assert not hasattr(intertwiner, "_frob")
