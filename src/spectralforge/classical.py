@@ -328,7 +328,7 @@ def integrate_flow(
     # integrator roundoff may push actions a hair past the nodes; evaluation
     # clips, so only genuine excursions should truncate the trajectory
     lo_edge, hi_edge = lo - FLOW_DOMAIN_TOL, hi + FLOW_DOMAIN_TOL
-    J0 = 0.5 * (x * x + p * p - 1.0)
+    J0 = actions_of(x, p)
     if not ((lo_edge <= J0) & (J0 <= hi_edge)).all():
         raise InputError("initial actions outside the interpolant domain")
 
@@ -340,7 +340,7 @@ def integrate_flow(
     xs = phase[:, :, 0]
     ps = phase[:, :, 1]
     times = dt * np.arange(phase.shape[0])
-    actions = 0.5 * (xs**2 + ps**2 - 1.0)
+    actions = actions_of(xs, ps)
     energies = table._evaluate(np.clip(actions, lo, hi), (0,) * n)
     drift = np.abs(actions - actions[0]).max()
     e_drift = np.abs(energies - energies[0]).max()

@@ -29,8 +29,9 @@ number diagonal is all zero has T_i = 0: verification skips it, and
 ``unitarity_defect`` is max|UU^dagger - I|.  ``fockspace.hermitian_defect``
 measures H, dense or sparse: once in ``eigensolve``, and once in
 verification for the Hermiticity defect and the gate scale ||H||_F.
-Each operand is multiplied in the kind it is given: a sparse one as CSR, a
-dense one through BLAS.  ``certify`` verifies first and forms the dense or
+Verification takes H in U's kind, as CSR for a sparse U, so a permutation U
+is never made dense; a sparse operand is multiplied as CSR, a dense one
+through BLAS.  ``certify`` verifies first and forms the dense or
 CSR T_i afterwards, for its callers.
 """
 
@@ -385,10 +386,9 @@ def _residual_row_norms(U, H, a: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray
     ‖r_k‖² = ‖r^ρ_k‖² + (ρ_k − a_k)²‖u_k‖², two terms that cannot cancel:
     only R_ρ is formed.
     """
-    R = U @ H  # CSR when U and H both are, else dense
+    R = U @ H  # CSR when U is, else dense
     if not sp.issparse(R):
         R = np.asarray(R, dtype=np.result_type(R, float))  # in place below, so inexact
-        U = U.toarray() if sp.issparse(U) else U
     rho = np.divide(_row_inner(R, U), u2, out=np.zeros_like(u2), where=u2 > 0)
     rho2 = _row_sums(_squared_moduli(_minus_scaled_rows(R, rho, U)))
     return rho2 + (rho - a) ** 2 * u2, rho2
@@ -446,12 +446,14 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     ‖r^ρ_k‖² + (ρ_k − a_k)²‖u_k‖², so R is not formed.  The commutator bounds,
     the Hermiticity defect and the intertwining residual are gated against
     ``DEFAULT_COMMUTATOR_TOL`` times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the
-    unitarity defect against ``UNITARITY_TOL_PER_DIM`` times d.  Sparse
-    operands are multiplied as CSR and dense ones densely.
+    unitarity defect against ``UNITARITY_TOL_PER_DIM`` times d.  H is taken
+    in U's kind, as CSR for a sparse U; sparse operands are multiplied as
+    CSR and dense ones densely.
 
     Failures are reported in the certificate, never raised.
     """
-    Hop, Uop = _operand(H), _operand(U)
+    Uop = _operand(U)
+    Hop = sp.csr_array(H) if sp.issparse(Uop) else _operand(H)  # H in U's kind
     d = Hop.shape[0]
     if Hop.shape != (d, d) or Uop.shape != (d, d) or basis.d != d:
         raise InputError("H, U and the basis must share the Hamiltonian's dimension")
@@ -516,7 +518,6 @@ def certify(H, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCert
     residuals, and attached to the certificate as ``T``.
     """
     wH, VH = eigensolve(H, vectors=True)
-    H = sp.csr_array(H) if sp.issparse(VH) else H  # verified in V_H's kind
     basis = TruncationBasis.build(n_modes, wH.size)
     a = _synthesized_diagonal(wH if seq is None else seq, basis)
     U = _intertwine(wH, VH, a, tol)

@@ -141,7 +141,9 @@ def parse_zeros(path) -> ZetaZeroSet:
     """Read an ascending one-float-per-line zero table; '#' lines are comments."""
     values = []
     for lineno, v in read_values(path):
-        if not np.isfinite(v) or v <= 0:
+        if not np.isfinite(v):
+            raise InputError(f"{path}: non-finite zero {v!r} at line {lineno}")
+        if v <= 0:
             raise InputError(f"{path}: non-positive zero at line {lineno}")
         if values and v <= values[-1]:
             raise InputError(f"{path}: non-monotone zero at line {lineno}")

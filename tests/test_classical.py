@@ -360,3 +360,17 @@ def test_build_refuses_a_spline_that_overflows(n):
     with np.errstate(all="raise"):  # a numpy warning would escape as an error here
         with pytest.raises(InputError, match="overflows"):
             ActionTable.build(levels, n, 4)
+
+
+@pytest.mark.parametrize("x0, p0, T, dt, message", [
+    (1.0, 0.0, 1.0, -0.1, "require dt > 0 and T >= dt"),
+    (1.0, 0.0, 0.01, 0.1, "require dt > 0 and T >= dt"),
+    ([1.0, 1.0], 0.0, 1.0, 0.1, "phase point must have 1 positions and momenta"),
+    (0.0, 0.0, 1.0, 0.1, "initial actions outside the interpolant domain"),
+    (10.0, 0.0, 1.0, 0.1, "initial actions outside the interpolant domain"),
+], ids=["negative_step", "time_below_step", "phase_point_size", "action_below", "action_above"])
+def test_malformed_flow_input_raises_its_message(x0, p0, T, dt, message):
+    table = ActionTable.build(np.arange(8.0), 1, 8)
+    with pytest.raises(InputError) as info:
+        integrate_flow(table, x0, p0, T, dt)
+    assert str(info.value) == message

@@ -851,3 +851,38 @@ def test_linalg_error_exit_3_one_line(capsys, monkeypatch):
     assert cli.run(["schrodinger", "--points", "50", "--levels", "5"]) == 3
     captured = capsys.readouterr()
     assert _one_error_line(captured, "error: numerical:") and "did not converge" in captured.err
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["schrodinger", "--config", "{tmp}/cfg.json"], {"cfg.json": '{"half_width": true}'},
+     "config key 'half_width': expected number, got true"),
+    (["stats", "--config", "{tmp}/absent.json"], {}, "config file not found: {tmp}/absent.json"),
+    (["stats", "--config", "{tmp}/cfg.json"], {"cfg.json": "not json"},
+     "config file {tmp}/cfg.json: Expecting value: line 1 column 1 (char 0)"),
+    (["stats", "--config", "{tmp}/cfg.json"], {"cfg.json": "[1]"},
+     "config file {tmp}/cfg.json: expected a JSON object"),
+    (["synthesize", "--set", "finite:0,x", "--count", "3"], {},
+     "bad finite set spec: 'finite:0,x'"),
+    (["synthesize", "--set", "interval:0", "--count", "3"], {},
+     "bad interval spec: 'interval:0' (want interval:LO:HI)"),
+    (["synthesize", "--set", "interval:0:x", "--count", "3"], {},
+     "bad interval spec: 'interval:0:x'"),
+    (["synthesize", "--set", "finite:0,1"], {}, "--count is required with --set"),
+    (["synthesize"], {}, "provide --spectrum FILE or --set SPEC"),
+    (["verify"], {}, "--matrix is required"),
+    (["verify", "--matrix", "{tmp}/absent.json"], {}, "matrix file not found: {tmp}/absent.json"),
+    (["zeta"], {}, "provide --zeros FILE or --compute COUNT"),
+    (["classical", "--set", "interval:0:1", "--count", "200", "--x0", "1,x"], {},
+     "bad x0 vector '1,x'"),
+    (["classical", "--set", "interval:0:1", "--count", "200", "--p0", "0,0"], {},
+     "p0 must have 1 components"),
+], ids=["config_bool_number", "config_missing", "config_not_json", "config_not_object",
+        "finite_spec", "interval_parts", "interval_number", "set_without_count", "no_sequence",
+        "no_matrix", "matrix_missing", "no_zeros", "phase_vector_text", "phase_vector_size"])
+def test_input_error_exit_2_one_line_with_its_message(tmp_path, capsys, argv, files, message):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    assert cli.run([arg.format(tmp=tmp_path) for arg in argv] + ["--no-timestamp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: input: " + message.format(tmp=tmp_path)]

@@ -281,3 +281,16 @@ def test_given_and_environment_caps_are_refused_alike(monkeypatch, cap):
     with pytest.raises(InputError, match=f"^SPECTRAL_FORGE_CAP must be positive, got {cap}$"):
         dimension_cap()
     assert dimension_cap(7) == 7  # a given cap takes precedence over the environment
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dimension_cap(), "SPECTRAL_FORGE_CAP must be an integer, got '2.5'"),
+    (lambda: matrix_to_json(np.zeros((2, 3))), "matrix must be square"),
+    (lambda: matrix_to_json(np.zeros(4)), "matrix must be square"),
+    (lambda: matrix_to_json(sp.csr_array((2, 3))), "matrix must be square"),
+], ids=["cap_not_integer", "dense_not_square", "dense_1d", "sparse_not_square"])
+def test_malformed_input_raises_its_message(monkeypatch, call, message):
+    monkeypatch.setenv("SPECTRAL_FORGE_CAP", "2.5")
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -406,6 +406,19 @@ def test_sparse_and_dense_diagonal_H_certify_alike(structured):
     assert (dense.U != sparse.U).nnz == 0
 
 
+def test_dense_H_is_verified_in_the_kind_of_a_csr_U(structured, monkeypatch):
+    H, A, basis = structured
+    U, a = certify(H, None, 3).U, np.diag(A)
+    reference = verify_integrability(sp.csr_array(H), U, basis, A=a).to_dict()
+
+    def no_dense(self, *args, **kwargs):
+        raise AssertionError("a CSR operand was made dense")
+
+    monkeypatch.setattr(sp.csr_array, "toarray", no_dense)
+    cert = verify_integrability(H, U, basis, A=a)
+    assert cert.passed and cert.to_dict() == reference
+
+
 def test_build_unitary_kind_follows_H():
     # U is of certify's kind: CSR for an H, dense or sparse, of several components
     X = np.random.default_rng(36).normal(size=(30, 60)).view(complex)
@@ -831,3 +844,21 @@ def test_certify_reads_H_twice_through_hermitian_defect(monkeypatch, kind):
     assert all(np.shares_memory(M.data if sp.issparse(M) else M, H.data if sp.issparse(H) else H)
                for M in seen)
     assert not hasattr(intertwiner, "_frob")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda basis: build_unitary(np.eye(3), [1.0, np.nan, 1.0]),
+     "A has entries that are not finite"),
+    (lambda basis: intertwiner.eigensolve(np.zeros((2, 3))),
+     "H must be a square matrix, got shape (2, 3)"),
+    (lambda basis: first_integrals(np.eye(4), basis),
+     "unitary dimension (4, 4) does not match basis size 3"),
+    (lambda basis: verify_integrability(np.eye(3), np.eye(4), basis, np.arange(3.0)),
+     "H, U and the basis must share the Hamiltonian's dimension"),
+    (lambda basis: verify_integrability(np.eye(3), np.eye(3), basis, np.arange(4.0)),
+     "A has dimension 4, the Hamiltonian 3"),
+], ids=["A_not_finite", "H_not_square", "U_not_basis_size", "U_not_H_size", "A_not_H_size"])
+def test_malformed_input_raises_its_message(call, message):
+    with pytest.raises(InputError) as info:
+        call(TruncationBasis.build(2, 3))
+    assert str(info.value) == message

@@ -345,3 +345,14 @@ def test_unfold_refuses_a_span_that_overflows(levels):
     with np.errstate(all="raise"):  # no arithmetic may overflow before the refusal
         with pytest.raises(InputError, match="span overflows"):
             ls.unfold(levels)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ls.unfold(np.arange(12.0), degree=9), "unfolding degree must be in 1..8"),
+    (lambda: ls.spacing_test(ls.unfold(np.arange(100.0), degree=1), "gaussian"),
+     f"model must be one of {ls.MODELS}"),
+], ids=["degree_above_8", "unknown_model"])
+def test_malformed_input_raises_its_message(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -98,3 +98,19 @@ def test_invalid_inputs_rejected():
         pairing.decode(3, 0)
     with pytest.raises(InputError):
         pairing.enumerate_first(0, 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pairing.enumerate_first(3, 0), InputError, "dimension must be >= 1"),
+    (lambda: pairing.encode_many(np.zeros(3)), InputError,
+     "expected a (d, n) array of multi-indices"),
+    (lambda: pairing.encode_many(np.zeros((3, 0))), InputError,
+     "expected a (d, n) array of multi-indices"),
+    (lambda: pairing.encode_many([[0, -1]]), InputError, "multi-index entries must be >= 0"),
+    (lambda: pairing.encode_many([[3_000_000, 0, 0]]), CapacityError,
+     "multi-index degree too large for int64 rank arithmetic"),
+], ids=["no_modes", "one_dimensional", "no_columns", "negative_entry", "degree_overflow"])
+def test_malformed_input_raises_its_message(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

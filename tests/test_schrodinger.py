@@ -803,3 +803,16 @@ def test_windowed_solve_takes_fewer_lanczos_steps(monkeypatch):
     assert solves[0] <= 0.8 * from_below
     _assert_close(middle, below)
     assert middle[-1] < c
+
+
+@pytest.mark.parametrize("table, message", [
+    ("# no rows\n", "{path}: the potential table has no data rows"),
+    ("0.0,1.0,2.0\n", "{path}: expected 2 columns, got 3"),
+    ("0.0,1.0\n1.0,2.0\n", "{path}: expected 16 rows, got 2"),
+], ids=["no_rows", "columns", "rows"])
+def test_malformed_potential_table_raises_its_message(tmp_path, table, message):
+    path = tmp_path / "potential.csv"
+    path.write_text(table)
+    with pytest.raises(InputError) as info:
+        potential(f"csv:{path}", GridSpec(1, 8.5, 16))
+    assert str(info.value) == message.format(path=path)

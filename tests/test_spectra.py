@@ -188,3 +188,17 @@ def test_nonfinite_rejected():
         spectra.as_spectrum([1.0, np.nan])
     with pytest.raises(InputError):
         spectra.as_spectrum([])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: spectra.ClosedSetSpec.interval_union([]),
+     "interval set spec requires at least one interval"),
+    (lambda path: spectra.ClosedSetSpec("fractal"), "unknown closed-set variant 'fractal'"),
+    (lambda path: spectra.load_spectrum_text(path), "{path}: no spectrum values found"),
+], ids=["no_intervals", "unknown_variant", "no_values"])
+def test_malformed_input_raises_its_message(tmp_path, call, message):
+    path = tmp_path / "levels.txt"
+    path.write_text("# comments only\n\n")
+    with pytest.raises(InputError) as info:
+        call(path)
+    assert str(info.value) == message.format(path=path)

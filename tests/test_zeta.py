@@ -147,6 +147,14 @@ def test_parse_zeros_nonpositive_error(tmp_path):
         zeta.parse_zeros(path)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_parse_zeros_non_finite_error(tmp_path, value):
+    path = tmp_path / "zeros.txt"
+    path.write_text(f"14.1\n{value}\n")
+    with pytest.raises(InputError, match=f"non-finite zero {value} at line 2$"):
+        zeta.parse_zeros(path)
+
+
 def test_parse_matches_computed(tmp_path):
     computed = zeta.compute_zeros(3)
     path = tmp_path / "zeros.txt"
@@ -171,3 +179,20 @@ def test_computed_zeros_match_mpmath_oracle():
     zs = zeta.compute_zeros(100)
     for k in (1, 2, 37, 99, 100):
         assert abs(zs.values[k - 1] - float(mpmath.zetazero(k).imag)) < 1e-7
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: zeta.ZetaZeroSet(values=np.array([]), source="file"),
+     "zero set must be non-empty"),
+    (lambda path: zeta.ZetaZeroSet(values=np.array([0.0, 1.0]), source="file"),
+     "zeros must be positive"),
+    (lambda path: zeta.ZetaZeroSet(values=np.array([2.0, 1.0]), source="file"),
+     "zeros must be strictly increasing"),
+    (lambda path: zeta.parse_zeros(path), "{path}: no zeros found"),
+], ids=["empty", "non_positive", "not_increasing", "file_without_zeros"])
+def test_malformed_input_raises_its_message(tmp_path, call, message):
+    path = tmp_path / "zeros.txt"
+    path.write_text("# comments only\n")
+    with pytest.raises(InputError) as info:
+        call(path)
+    assert str(info.value) == message.format(path=path)
