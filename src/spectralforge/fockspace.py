@@ -43,6 +43,8 @@ class TruncationBasis:
 
     @classmethod
     def build(cls, n: int, d: int) -> "TruncationBasis":
+        if int(n) < 1:
+            raise InputError(f"mode count must be at least 1, got {n}")
         idx = pairing.enumerate_first(d, n)
         idx.setflags(write=False)
         return cls(n=int(n), d=int(d), indices=idx)

@@ -12,9 +12,10 @@ diagonal, for either kind of V_H.
 
 ``eigensolve`` is the one place an eigensolver is chosen, for
 certification and for ``schrodinger.low_spectrum`` alike.  An H of several
-connected components gets a block-sparse V_H, U and T_i: a diagonal H has
-1 x 1 blocks, so U is a permutation and a certificate costs O(d).  Every
-operator stays in H's field, so a real H gives real U and T_i.
+connected components gets a block-sparse V_H, U and T_i.  A diagonal H
+gets its eigenpairs from one stable ``argsort``: V_H and U are
+permutations, and a certificate costs O(d).  Every operator stays in H's
+field, so a real H gives real U and T_i.
 
 Verification reads only H, U, the diagonal a of A and the number diagonals
 n_i.  It measures the residuals R_rho = UH - diag(rho) U, for the rows'
@@ -31,14 +32,19 @@ measures H, dense or sparse: once in ``eigensolve``, and once in
 verification for the Hermiticity defect and the gate scale ||H||_F.
 Verification takes H in U's kind, as CSR for a sparse U, so a permutation U
 is never made dense; a sparse operand is multiplied as CSR, a dense one
-through BLAS.  ``certify`` verifies first and forms the dense or
-CSR T_i afterwards, for its callers.
+through BLAS.  A monomial CSR U, one stored entry per row and every column
+hit once, beside a diagonal H is measured on 1-D arrays of U's entries and
+H's diagonal, with no product: G is diagonal and each row of R_rho has one
+entry.  ``certify`` makes a dense H of several components CSR once, for
+both the eigensolve and verification.  Its certificate forms the dense or
+CSR T_i only when ``T`` is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -100,19 +106,27 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
 
     1. a dense H whose first row has no zero, for all levels or all but
        one: ``eigendecompose``;
-    2. with ``vectors``, several connected components: one stacked
+    2. with ``vectors``, a diagonal H: one stable ``argsort`` of its
+       diagonal, and a CSC permutation V;
+    3. with ``vectors``, several connected components: one stacked
        ``eigh`` per block size, each block within ``cap``, and a
        block-sparse CSC V;
-    3. a tridiagonal H: ``eigh_tridiagonal``;
-    4. all levels or all but one: ``eigendecompose``, a sparse H made dense
+    4. a tridiagonal H: ``eigh_tridiagonal``;
+    5. all levels or all but one: ``eigendecompose``, a sparse H made dense
        within ``cap``;
-    5. shift-invert Lanczos in a ``window`` (floor, c) with exactly m
+    6. shift-invert Lanczos in a ``window`` (floor, c) with exactly m
        levels between: 1 below the floor when c is infinite, else at the
        midpoint, where those m are the nearest.  A missing window is
        (Gershgorin's bound, ∞).
 
     Values alone never compute vectors.
     """
+    return _eigensolve(H, m, vectors, cap, window)[0]
+
+
+def _eigensolve(H, m, vectors: bool, cap, window):
+    """``eigensolve``'s result, and H as its rule read it: the given dense H
+    for rule 1, else H's canonical CSR form, made once."""
     if not sp.issparse(H):
         H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -126,7 +140,7 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
     remedy = "give a smaller matrix" if m is None else "ask for fewer levels"
     m = level_count(m, dim)
     if not sp.issparse(H) and m >= dim - 1 and np.all(H[0] != 0):
-        return _lowest(eigendecompose(H, vectors=vectors), m)
+        return _lowest(eigendecompose(H, vectors=vectors), m), H
     given, H = H, sp.csr_array(H)
     if not H.has_canonical_format:  # H != 0 and abs(H) would sum the caller's duplicates in place
         H = H.copy()
@@ -134,19 +148,22 @@ def eigensolve(H, m: int | None = None, *, vectors: bool = False, cap: int | Non
     if not is_hermitian(H):
         raise InputError("matrix is not Hermitian within tolerance")
     C = H.tocoo()
-    tridiagonal = not np.any(C.data[np.abs(C.row - C.col) > 1])
+    band = np.abs(C.row - C.col)
+    tridiagonal = not np.any(C.data[band > 1])
+    if vectors and not np.any(C.data[band > 0]):
+        return _lowest(_permutation_eigenpairs(H.diagonal()), m), H
     # components only give block-sparse vectors; a tridiagonal H with no
     # zero above its diagonal is a single chain
     if vectors and not (tridiagonal and H.diagonal(1).all()):
         count, labels = connected_components(H != 0, directed=False)
         if count > 1:
-            return _lowest(_stacked(H, labels, cap), m)
+            return _lowest(_stacked(H, labels, cap), m), H
     if tridiagonal:
-        return _tridiagonal(H, m, vectors)
+        return _tridiagonal(H, m, vectors), H
     if m >= dim - 1:  # ARPACK takes at most dim - 2 levels
         dense = dense_within_cap(H, cap, remedy) if sp.issparse(given) else given
-        return _lowest(eigendecompose(dense, vectors=vectors), m)
-    return _shift_invert(H, m, vectors, window)
+        return _lowest(eigendecompose(dense, vectors=vectors), m), H
+    return _shift_invert(H, m, vectors, window), H
 
 
 def _lowest(solved, m: int):
@@ -155,6 +172,17 @@ def _lowest(solved, m: int):
         w, V = solved
         return (w, V) if m == w.size else (w[:m], V[:, :m])
     return solved[:m]
+
+
+def _permutation_eigenpairs(h: np.ndarray):
+    """Every eigenpair of the diagonal operator with diagonal h, as ``_stacked``
+    gives them for its 1 x 1 blocks: ascending, ties in basis order, V a CSC
+    permutation, both in the dtypes ``eigh`` returns for h's."""
+    w_type, v_type = (x.dtype for x in np.linalg.eigh(np.ones((1, 1), h.dtype)))
+    w = h.real.astype(w_type)
+    order = np.argsort(w, kind="stable")
+    d = h.size
+    return w[order], sp.csc_array((np.ones(d, v_type), order, np.arange(d + 1)), shape=(d, d))
 
 
 def _stacked(H, labels: np.ndarray, cap):
@@ -322,12 +350,13 @@ class IntegrabilityCertificate:
     ‖[T_i, T_j]‖_F.
     ``unitarity_defect`` is max|UU† − I|, ``hermiticity_defect`` is
     ‖H − H†‖_F, and ``intertwining_residual`` is ‖R‖_F for R = UH − diag(a) U.
+    ``T`` is formed from U and ``basis`` on its first read; a record with no
+    basis, as ``verify_integrability`` returns it, has ``T`` None.
     """
 
     dim: int
     n_modes: int
     U: object = field(repr=False)  # from certify: CSR for an H of several components, else dense
-    T: list | None = field(repr=False)  # attached by certify, of the same kind as U
     unitarity_defect: float
     intertwining_residual: float
     hermiticity_defect: float
@@ -337,9 +366,17 @@ class IntegrabilityCertificate:
     commutator_tol: float
     unitarity_tol: float
     passed: bool
+    basis: TruncationBasis | None = field(default=None, repr=False)  # set by certify, for T
+
+    @cached_property
+    def T(self) -> list | None:
+        """The first integrals T_i = U† N_i U, of U's kind, formed by
+        ``first_integrals`` on the first read and kept.  None when no basis
+        is attached: a bare ``verify_integrability`` record."""
+        return None if self.basis is None else first_integrals(self.U, self.basis)
 
     def to_dict(self) -> dict:
-        """Every field but the operators U and T."""
+        """Every field but the operators U and T and the basis."""
         return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
 
@@ -418,6 +455,50 @@ def _antisymmetric_mass(P, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("kl,kl,kl->", C, C, P))
 
 
+def _residuals(U, H, a: np.ndarray, n: list):
+    """‖G‖_F², max|G|, the largest pair mass over the modes n, and the squared
+    row norms of R and R_ρ, for any U and H of one kind.
+
+    Each residual is reduced to vectors and scalars as soon as it is
+    measured, and freed before the next one is formed.
+    """
+    row_norms2, P, unit_defect = _gram_defect(U)
+    g2 = P.sum()
+    pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
+    del P
+    return (g2, unit_defect, pair_mass, *_residual_row_norms(U, H, a, row_norms2))
+
+
+def _diagonal_at_columns(U, H):
+    """h_c, H's diagonal at the column c of each row's entry, when U is a
+    monomial CSR, one stored entry per row and every column hit once, and
+    the CSR H is diagonal; else None."""
+    d = U.shape[0]
+    if not (sp.issparse(U) and U.nnz == d and np.all(np.diff(U.indptr) == 1)):
+        return None
+    if np.any(np.bincount(U.indices, minlength=d) != 1):
+        return None
+    C = H.tocoo()
+    if np.any(C.data[C.row != C.col]):
+        return None
+    return H.diagonal()[U.indices]
+
+
+def _monomial_residuals(u: np.ndarray, hc: np.ndarray, a: np.ndarray):
+    """``_residuals`` for a monomial U, row k's one entry u_k at column c,
+    beside a diagonal H, from u and h_c alone.
+
+    G = UU† − I is diag(|u_k|² − 1), so its pair mass is exactly 0; row k of
+    UH is u_k h_c at column c, so ρ_k = Re h_c and
+    ‖r^ρ_k‖² = |u_k|² |h_c − ρ_k|².
+    """
+    u2 = (u * u.conj()).real  # U's squared row norms, the diagonal of UU†
+    P = np.square(u2 - 1.0)
+    rho = hc.real
+    rho2 = u2 * _squared_moduli(hc - rho)
+    return P.sum(), float(np.sqrt(P.max())), 0.0, rho2 + (rho - a) ** 2 * u2, rho2
+
+
 def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertificate:
     """Bound the commutators of T_i = U† N_i U, and measure unitarity and independence.
 
@@ -448,7 +529,8 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     ``DEFAULT_COMMUTATOR_TOL`` times max(1, ‖H‖_F + Σ_i ‖n_i‖₂), and the
     unitarity defect against ``UNITARITY_TOL_PER_DIM`` times d.  H is taken
     in U's kind, as CSR for a sparse U; sparse operands are multiplied as
-    CSR and dense ones densely.
+    CSR and dense ones densely, except a monomial CSR U beside a diagonal H,
+    which is measured on U's d entries and H's diagonal.
 
     Failures are reported in the certificate, never raised.
     """
@@ -463,14 +545,12 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
     # a mode whose number diagonal is all zero has T_i = 0: it adds 0 to every bound
     n = [x for x in (_number_diagonal(basis, i) for i in range(1, basis.n + 1)) if x.any()]
 
-    # each residual is reduced to vectors and scalars as soon as it is
-    # measured, and freed before the next one is formed
     _, herm_defect, _, h_norm = hermitian_defect(Hop)
-    row_norms2, P, unit_defect = _gram_defect(Uop)
-    u2 = 1.0 + float(np.sqrt(P.sum()))  # 1 + ‖G‖_F bounds ‖U‖₂²
-    pair_mass = max((_antisymmetric_mass(P, x, y) for x, y in combinations(n, 2)), default=0.0)
-    del P
-    r2, rho2 = _residual_row_norms(Uop, Hop, a, row_norms2)
+    hc = _diagonal_at_columns(Uop, Hop)
+    g2, unit_defect, pair_mass, r2, rho2 = (
+        _residuals(Uop, Hop, a, n) if hc is None else _monomial_residuals(Uop.data, hc, a)
+    )
+    u2 = 1.0 + float(np.sqrt(g2))  # 1 + ‖G‖_F bounds ‖U‖₂²
     max_pair = u2 * float(np.sqrt(pair_mass))
     max_ham = max((2.0 * float(np.sqrt(u2 * np.dot(x * x, rho2))) + herm_defect * float(x.max()) * u2
                    for x in n), default=0.0)
@@ -493,7 +573,6 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
         dim=d,
         n_modes=basis.n,
         U=U,
-        T=None,
         unitarity_defect=unit_defect,
         intertwining_residual=inter_res,
         hermiticity_defect=herm_defect,
@@ -507,21 +586,21 @@ def verify_integrability(H, U, basis: TruncationBasis, A) -> IntegrabilityCertif
 
 
 def certify(H, seq, n_modes: int, tol: float | None = None) -> IntegrabilityCertificate:
-    """Full pipeline: synthesize A from ``seq``, intertwine, verify, then form T.
+    """Full pipeline: synthesize A from ``seq``, intertwine and verify.
 
     ``seq`` defaults to the spectrum of H itself when given as None.  H is
     decomposed once by ``eigensolve``; its eigenpairs serve both as the
     default ``seq`` and for the intertwiner.  An H of several components,
-    dense or sparse, is verified as CSR and gets a block-sparse CSR U and
-    CSR T_i; an H of one component is verified as given, with a dense U.
-    The first integrals are formed after verification has freed its
-    residuals, and attached to the certificate as ``T``.
+    dense or sparse, is made CSR once, verified as such and gets a
+    block-sparse CSR U; an H of one component is verified as given, with a
+    dense U.  The certificate keeps the basis, so its first integrals ``T``
+    are formed only when read.
     """
-    wH, VH = eigensolve(H, vectors=True)
+    (wH, VH), solved = _eigensolve(H, None, vectors=True, cap=None, window=None)
     basis = TruncationBasis.build(n_modes, wH.size)
     a = _synthesized_diagonal(wH if seq is None else seq, basis)
     U = _intertwine(wH, VH, a, tol)
-    del VH  # free V_H before verification and the first integrals allocate
-    cert = verify_integrability(H, U, basis, A=a)
-    cert.T = first_integrals(U, basis)
+    del VH  # free V_H before verification allocates
+    cert = verify_integrability(solved if sp.issparse(U) else H, U, basis, A=a)
+    cert.basis = basis
     return cert

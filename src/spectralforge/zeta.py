@@ -127,6 +127,8 @@ class ZetaZeroSet:
         arr = np.asarray(self.values, dtype=float)
         if arr.size == 0:
             raise InputError("zero set must be non-empty")
+        if not np.isfinite(arr).all():
+            raise InputError("zeros must be finite")
         if (arr <= 0).any():
             raise InputError("zeros must be positive")
         if (np.diff(arr) <= 0).any():

@@ -267,6 +267,21 @@ def test_schrodinger_pipeline_solves_spectrum_once(capsys, monkeypatch):
     assert calls == [10, 9]
 
 
+def test_verify_and_pipeline_never_form_the_first_integrals(tmp_path, capsys, monkeypatch):
+    def no_first_integrals(*args):
+        raise AssertionError("a report formed the first integrals T_i")
+
+    monkeypatch.setattr(intertwiner, "first_integrals", no_first_integrals)
+    matrix = str(tmp_path / "op.json")
+    for argv in (["synthesize", "--set", "interval:0:1", "--count", "300", "--modes", "3",
+                  "--out", matrix],
+                 ["verify", "--matrix", matrix, "--modes", "3"],
+                 ["schrodinger", "--points", "200", "--levels", "200", "--pipeline",
+                  "--modes", "3"]):
+        code, report = run_report(argv + ["--no-timestamp"], capsys)
+        assert code == 0 and report.get("certificate", {"passed": True})["passed"] is True
+
+
 @pytest.mark.parametrize("points, levels", [(201, 30), (200, 200)])
 def test_schrodinger_1d_report_sectors_sum_to_levels(capsys, points, levels):
     code, report = run_report(["schrodinger", "--points", str(points), "--levels", str(levels),
@@ -869,6 +884,8 @@ def test_linalg_error_exit_3_one_line(capsys, monkeypatch):
      "bad interval spec: 'interval:0:x'"),
     (["synthesize", "--set", "finite:0,1"], {}, "--count is required with --set"),
     (["synthesize"], {}, "provide --spectrum FILE or --set SPEC"),
+    (["synthesize", "--set", "finite:0,1", "--count", "4", "--modes", "0"], {},
+     "mode count must be at least 1, got 0"),
     (["verify"], {}, "--matrix is required"),
     (["verify", "--matrix", "{tmp}/absent.json"], {}, "matrix file not found: {tmp}/absent.json"),
     (["zeta"], {}, "provide --zeros FILE or --compute COUNT"),
@@ -878,6 +895,7 @@ def test_linalg_error_exit_3_one_line(capsys, monkeypatch):
      "p0 must have 1 components"),
 ], ids=["config_bool_number", "config_missing", "config_not_json", "config_not_object",
         "finite_spec", "interval_parts", "interval_number", "set_without_count", "no_sequence",
+        "zero_modes",
         "no_matrix", "matrix_missing", "no_zeros", "phase_vector_text", "phase_vector_size"])
 def test_input_error_exit_2_one_line_with_its_message(tmp_path, capsys, argv, files, message):
     for name, content in files.items():

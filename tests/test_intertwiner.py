@@ -345,15 +345,97 @@ def test_diagonal_certificate_matches_dense_reference(structured, monkeypatch):
         assert np.abs(Ti.toarray() - dense).max() <= 1e-12
 
 
-def test_scaled_entry_of_monomial_unitary_fails(structured):
+@pytest.mark.parametrize("kind", ["dense", "csr", "csr_beside_csr_H"])
+def test_scaled_entry_of_monomial_unitary_fails(structured, monkeypatch, kind):
     H, A, basis = structured
     U = certify(H, None, 3).U.toarray()
     j = np.flatnonzero(U[5])[0]
     U[5, j] *= 1 + 1e-3  # still monomial, no longer unitary
-    cert = verify_integrability(H, U, basis, A=np.diag(A))
+    Uop = U if kind == "dense" else sp.csr_array(U)
+    Hop = sp.csr_array(H) if kind == "csr_beside_csr_H" else H
+
+    def no_general_path(*args):
+        raise AssertionError("a monomial U beside a diagonal H took the general path")
+
+    if kind != "dense":  # measured on U's d entries and H's diagonal alone
+        monkeypatch.setattr(intertwiner, "_residuals", no_general_path)
+    cert = verify_integrability(Hop, Uop, basis, A=np.diag(A))
     assert cert.unitarity_defect == pytest.approx(2.001e-3)
     assert not cert.passed
     assert_matches_dense(cert, dense_certificate(H, U, A, basis))
+
+
+def test_csr_unitary_with_two_rows_in_one_column_takes_the_general_path(structured, monkeypatch):
+    H, A, basis = structured
+    U = certify(H, None, 3).U.toarray()
+    j = np.flatnonzero(U[6])[0]
+    U[5] = 0.0
+    U[5, j] = 1.0  # rows 5 and 6 in column j: one entry per row, not monomial
+
+    def no_array_path(*args):
+        raise AssertionError("a U with a repeated column was measured as monomial")
+
+    monkeypatch.setattr(intertwiner, "_monomial_residuals", no_array_path)
+    cert = verify_integrability(H, sp.csr_array(U), basis, A=np.diag(A))
+    assert not cert.passed and cert.unitarity_defect == 1.0
+    assert_matches_dense(cert, dense_certificate(H, U, A, basis))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32, np.complex64, np.int64])
+def test_diagonal_eigenpairs_equal_the_stacked_blocks(dtype, monkeypatch):
+    """A diagonal H is solved by one stable argsort: the eigenpairs, ties in
+    basis order and dtypes equal the stacked eigh of its 1 x 1 blocks."""
+    h = np.round(np.random.default_rng(9).uniform(-5.0, 5.0, 300)).astype(dtype)
+    assert np.unique(h).size < h.size  # ties
+    stacked = intertwiner._stacked(sparse_diagonal(h), np.arange(h.size), None)
+
+    def no_stack(*args):
+        raise AssertionError("a diagonal H was solved block by block")
+
+    monkeypatch.setattr(intertwiner, "_stacked", no_stack)
+    for H in (sparse_diagonal(h), np.diag(h)):
+        w, V = intertwiner.eigensolve(H, vectors=True)
+        assert w.dtype == stacked[0].dtype and np.array_equal(w, stacked[0])
+        assert V.format == "csc" and V.dtype == stacked[1].dtype
+        assert (V != stacked[1]).nnz == 0
+        w3, V3 = intertwiner.eigensolve(H, 3, vectors=True)
+        assert np.array_equal(w3, w[:3]) and (V3 != V[:, :3]).nnz == 0
+
+
+def test_dense_H_of_several_components_is_made_csr_once(monkeypatch):
+    H = np.diag(np.arange(40.0))
+    H[:3, :3] += np.ones((3, 3))  # a 3 x 3 block beside 37 single nodes
+    made, csr_array = [], sp.csr_array
+
+    def counted(arg, *args, **kwargs):
+        if isinstance(arg, np.ndarray):
+            made.append(arg)
+        return csr_array(arg, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "csr_array", counted)
+    cert = certify(H, None, 2)
+    assert cert.passed and sp.issparse(cert.U)
+    assert len(made) == 1 and made[0] is H
+
+
+def test_certify_forms_the_first_integrals_on_first_read(structured, monkeypatch):
+    H, A, basis = structured
+    eager = first_integrals(certify(H, None, 3).U, basis)
+    calls = []
+
+    def counted(U, basis):
+        calls.append(U)
+        return first_integrals(U, basis)
+
+    monkeypatch.setattr(intertwiner, "first_integrals", counted)
+    cert = certify(H, None, 3)
+    assert cert.passed and not calls
+    T = cert.T
+    assert cert.T is T and len(calls) == 1
+    assert all((Ti != Ei).nnz == 0 for Ti, Ei in zip(T, eager)) and len(T) == len(eager)
+    assert "T" not in cert.to_dict() and "basis" not in cert.to_dict()
+    bare = verify_integrability(H, cert.U, basis, A=np.diag(A))
+    assert bare.T is None and len(calls) == 1
 
 
 def test_rotated_pair_of_unitary_rows_fails(structured):

@@ -188,8 +188,15 @@ def test_computed_zeros_match_mpmath_oracle():
      "zeros must be positive"),
     (lambda path: zeta.ZetaZeroSet(values=np.array([2.0, 1.0]), source="file"),
      "zeros must be strictly increasing"),
+    (lambda path: zeta.ZetaZeroSet(values=np.array([14.1, np.nan, 30.0]), source="file"),
+     "zeros must be finite"),
+    (lambda path: zeta.ZetaZeroSet(values=np.array([14.1, 21.0, np.inf]), source="file"),
+     "zeros must be finite"),
+    (lambda path: zeta.ZetaZeroSet(values=np.array([-np.inf, 14.1]), source="file"),
+     "zeros must be finite"),
     (lambda path: zeta.parse_zeros(path), "{path}: no zeros found"),
-], ids=["empty", "non_positive", "not_increasing", "file_without_zeros"])
+], ids=["empty", "non_positive", "not_increasing", "nan", "inf", "minus_inf",
+        "file_without_zeros"])
 def test_malformed_input_raises_its_message(tmp_path, call, message):
     path = tmp_path / "zeros.txt"
     path.write_text("# comments only\n")
